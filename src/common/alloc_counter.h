@@ -60,9 +60,14 @@ inline std::uint64_t allocation_bytes() {
 /// binary that wants allocation counting (see header comment).
 #define FLEX_DEFINE_COUNTING_ALLOCATOR()                                     \
   namespace flex::common::alloc_counter::detail {                            \
-  inline void* counted_alloc(std::size_t size) {                             \
+  /* Linking the replacement is what enables counting, so the flag is set */ \
+  /* at static initialisation, not by the first counted allocation. */       \
+  [[maybe_unused]] const bool counting_linked = [] {                        \
     ::flex::common::alloc_counter::enabled_flag().store(                     \
         true, std::memory_order_relaxed);                                    \
+    return true;                                                             \
+  }();                                                                       \
+  inline void* counted_alloc(std::size_t size) {                             \
     ::flex::common::alloc_counter::news().fetch_add(                         \
         1, std::memory_order_relaxed);                                       \
     ::flex::common::alloc_counter::bytes().fetch_add(                        \

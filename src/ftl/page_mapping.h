@@ -87,6 +87,35 @@ struct FtlStats {
   }
 };
 
+/// Field-wise difference `a - b`: the activity between two snapshots of
+/// the same FTL's cumulative counters (e.g. a measured window minus the
+/// prefill).
+inline FtlStats operator-(const FtlStats& a, const FtlStats& b) {
+  static_assert(sizeof(FtlStats) == 20 * sizeof(std::uint64_t),
+                "FtlStats changed: subtract the new field here too");
+  return {.host_writes = a.host_writes - b.host_writes,
+          .nand_writes = a.nand_writes - b.nand_writes,
+          .nand_erases = a.nand_erases - b.nand_erases,
+          .gc_runs = a.gc_runs - b.gc_runs,
+          .gc_page_moves = a.gc_page_moves - b.gc_page_moves,
+          .mode_migrations = a.mode_migrations - b.mode_migrations,
+          .refresh_runs = a.refresh_runs - b.refresh_runs,
+          .refresh_page_moves = a.refresh_page_moves - b.refresh_page_moves,
+          .program_fails = a.program_fails - b.program_fails,
+          .erase_fails = a.erase_fails - b.erase_fails,
+          .grown_defects = a.grown_defects - b.grown_defects,
+          .retired_blocks = a.retired_blocks - b.retired_blocks,
+          .retire_page_moves = a.retire_page_moves - b.retire_page_moves,
+          .mounts = a.mounts - b.mounts,
+          .mount_pages_scanned = a.mount_pages_scanned - b.mount_pages_scanned,
+          .mount_mappings_recovered =
+              a.mount_mappings_recovered - b.mount_mappings_recovered,
+          .mount_stale_records = a.mount_stale_records - b.mount_stale_records,
+          .misdirected_writes = a.misdirected_writes - b.misdirected_writes,
+          .torn_relocations = a.torn_relocations - b.torn_relocations,
+          .repair_writes = a.repair_writes - b.repair_writes};
+}
+
 /// Result of placing one logical page.
 struct WriteResult {
   std::uint64_t ppn = 0;

@@ -15,12 +15,28 @@ ChipScheduler::ChipScheduler(std::size_t chips, EventQueue& events)
 SimTime ChipScheduler::submit(std::size_t chip, SimTime arrival,
                               const ChipCommand& cmd, const char* op) {
   FLEX_EXPECTS(chip < chips());
-  const SimTime start = std::max(arrival, free_at_[chip]);
-  const SimTime completion = start + cmd.total();
-  free_at_[chip] = completion;
+  const SimTime completion =
+      start_service(chip, arrival, std::max(arrival, free_at_[chip]), cmd, op);
+  count_issue(chip);
+  events_.schedule(completion,
+                   [this, chip](SimTime) { --in_flight_[chip]; });
+  return completion;
+}
 
+void ChipScheduler::count_issue(std::size_t chip) {
   ChipStats& stats = stats_[chip];
   ++stats.commands;
+  if (telemetry_) ++metrics_.commands->value;
+  ++in_flight_[chip];
+  stats.max_queue_depth = std::max(stats.max_queue_depth, in_flight_[chip]);
+}
+
+SimTime ChipScheduler::start_service(std::size_t chip, SimTime arrival,
+                                     SimTime start, const ChipCommand& cmd,
+                                     const char* op) {
+  const SimTime completion = start + cmd.total();
+  free_at_[chip] = completion;
+  ChipStats& stats = stats_[chip];
   if (start > arrival) {
     ++stats.queued_commands;
     stats.wait_time += start - arrival;
@@ -30,10 +46,9 @@ SimTime ChipScheduler::submit(std::size_t chip, SimTime arrival,
   stats.controller_busy += cmd.controller;
 
   if (telemetry_) {
-    ++commands_metric_->value;
     if (start > arrival) {
-      ++queued_metric_->value;
-      wait_hist_->add(static_cast<double>(start - arrival) / 1000.0);
+      ++metrics_.queued->value;
+      metrics_.wait_us->add(static_cast<double>(start - arrival) / 1000.0);
     }
     if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
       const auto tid = static_cast<std::int32_t>(chip);
@@ -53,11 +68,6 @@ SimTime ChipScheduler::submit(std::size_t chip, SimTime arrival,
                       .dur = cmd.total()});
     }
   }
-
-  ++in_flight_[chip];
-  stats.max_queue_depth = std::max(stats.max_queue_depth, in_flight_[chip]);
-  events_.schedule(completion,
-                   [this, chip](SimTime) { --in_flight_[chip]; });
   return completion;
 }
 
@@ -65,22 +75,38 @@ void ChipScheduler::submit_background(SimTime now,
                                       const ftl::WriteResult& result,
                                       const LatencyModel& latency) {
   // The host program lands on the chip that owns its physical page.
-  submit(chip_of(result.ppn), now, ChipCommand{.die = latency.program()},
-         "program");
-  // GC relocations read the victim page before reprogramming it.
+  submit_train_command(chip_of(result.ppn), now,
+                       ChipCommand{.die = latency.program()}, "program");
   const std::uint64_t moves =
       result.page_programs > 0 ? result.page_programs - 1 : 0;
+  submit_maintenance(now, moves, result.erases, latency);
+}
+
+void ChipScheduler::submit_maintenance(SimTime now, std::uint64_t moves,
+                                       std::uint64_t erases,
+                                       const LatencyModel& latency) {
+  // GC relocations read the victim page before reprogramming it.
   for (std::uint64_t i = 0; i < moves; ++i) {
     next_background_chip_ = (next_background_chip_ + 1) % chips();
-    submit(next_background_chip_, now,
-           ChipCommand{.die = latency.program() +
-                              latency.spec.read_latency},
-           "gc_move");
+    submit_train_command(
+        next_background_chip_, now,
+        ChipCommand{.die = latency.program() + latency.spec.read_latency},
+        "gc_move");
   }
-  for (std::uint64_t i = 0; i < result.erases; ++i) {
+  for (std::uint64_t i = 0; i < erases; ++i) {
     next_background_chip_ = (next_background_chip_ + 1) % chips();
-    submit(next_background_chip_, now,
-           ChipCommand{.die = latency.erase()}, "erase");
+    submit_train_command(next_background_chip_, now,
+                         ChipCommand{.die = latency.erase()}, "erase");
+  }
+}
+
+void ChipScheduler::submit_train_command(std::size_t chip, SimTime now,
+                                         const ChipCommand& cmd,
+                                         const char* op) {
+  if (qos_enabled_) {
+    submit_qos(chip, now, cmd, QosClass::kBackground, 0, 0, kNoTag, op);
+  } else {
+    submit(chip, now, cmd, op);
   }
 }
 
@@ -135,12 +161,7 @@ std::uint64_t ChipScheduler::submit_qos(std::size_t chip, SimTime now,
   entry.klass = klass;
   entry.op = op;
 
-  ChipStats& stats = stats_[chip];
-  ++stats.commands;
-  if (telemetry_) ++commands_metric_->value;
-  ++in_flight_[chip];
-  stats.max_queue_depth = std::max(stats.max_queue_depth, in_flight_[chip]);
-
+  count_issue(chip);
   if (!qos_busy_[chip]) {
     qos_start_service(chip, now, entry);
   } else {
@@ -170,42 +191,8 @@ void ChipScheduler::qos_start_service(std::size_t chip, SimTime start,
   qos_busy_[chip] = 1;
   qos_active_[chip] = entry;
   qos_active_start_[chip] = start;
-  const SimTime completion = start + entry.cmd.total();
-  free_at_[chip] = completion;
-
-  ChipStats& stats = stats_[chip];
-  if (start > entry.arrival) {
-    ++stats.queued_commands;
-    stats.wait_time += start - entry.arrival;
-  }
-  stats.channel_busy += entry.cmd.channel;
-  stats.die_busy += entry.cmd.die;
-  stats.controller_busy += entry.cmd.controller;
-
-  if (telemetry_) {
-    if (start > entry.arrival) {
-      ++queued_metric_->value;
-      wait_hist_->add(static_cast<double>(start - entry.arrival) / 1000.0);
-    }
-    if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
-      const auto tid = static_cast<std::int32_t>(chip);
-      if (start > entry.arrival) {
-        tracer->record({.name = "wait",
-                        .cat = "chip",
-                        .pid = telemetry_->pid,
-                        .tid = tid,
-                        .start = entry.arrival,
-                        .dur = start - entry.arrival});
-      }
-      tracer->record({.name = entry.op,
-                      .cat = "chip",
-                      .pid = telemetry_->pid,
-                      .tid = tid,
-                      .start = start,
-                      .dur = entry.cmd.total()});
-    }
-  }
-
+  const SimTime completion =
+      start_service(chip, entry.arrival, start, entry.cmd, entry.op);
   events_.schedule(completion,
                    [this, chip](SimTime t) { qos_complete(chip, t); });
 }
@@ -264,7 +251,7 @@ std::size_t ChipScheduler::qos_pick_index(std::size_t chip, SimTime now) {
         max_v - min_v > static_cast<double>(qos_config_.fair_share_slack);
     if (fairness_override) {
       ++qos_fairness_overrides_;
-      if (telemetry_) ++qos_overrides_metric_->value;
+      if (telemetry_) ++metrics_.qos_overrides->value;
     }
     for (std::size_t i = 0; i < queue.size(); ++i) {
       const QosPending& e = queue[i];
@@ -286,7 +273,7 @@ std::size_t ChipScheduler::qos_pick_index(std::size_t chip, SimTime now) {
   }
   if (deferred_any) {
     ++qos_background_deferrals_;
-    if (telemetry_) ++qos_deferrals_metric_->value;
+    if (telemetry_) ++metrics_.qos_deferrals->value;
   }
   FLEX_ENSURES(best < queue.size());
   return best;
@@ -325,34 +312,6 @@ void ChipScheduler::qos_complete(std::size_t chip, SimTime now) {
   }
 }
 
-void ChipScheduler::submit_background_qos(SimTime now,
-                                          const ftl::WriteResult& result,
-                                          const LatencyModel& latency) {
-  submit_qos(chip_of(result.ppn), now, ChipCommand{.die = latency.program()},
-             QosClass::kBackground, 0, 0, kNoTag, "program");
-  const std::uint64_t moves =
-      result.page_programs > 0 ? result.page_programs - 1 : 0;
-  submit_maintenance_qos(now, moves, result.erases, latency);
-}
-
-void ChipScheduler::submit_maintenance_qos(SimTime now, std::uint64_t moves,
-                                           std::uint64_t erases,
-                                           const LatencyModel& latency) {
-  for (std::uint64_t i = 0; i < moves; ++i) {
-    next_background_chip_ = (next_background_chip_ + 1) % chips();
-    submit_qos(next_background_chip_, now,
-               ChipCommand{.die = latency.program() +
-                                  latency.spec.read_latency},
-               QosClass::kBackground, 0, 0, kNoTag, "gc_move");
-  }
-  for (std::uint64_t i = 0; i < erases; ++i) {
-    next_background_chip_ = (next_background_chip_ + 1) % chips();
-    submit_qos(next_background_chip_, now,
-               ChipCommand{.die = latency.erase()}, QosClass::kBackground, 0,
-               0, kNoTag, "erase");
-  }
-}
-
 void ChipScheduler::power_loss(SimTime now) {
   std::fill(free_at_.begin(), free_at_.end(), now);
   std::fill(in_flight_.begin(), in_flight_.end(), 0);
@@ -373,19 +332,13 @@ void ChipScheduler::reset_stats() {
 
 void ChipScheduler::attach_telemetry(telemetry::Telemetry* telemetry) {
   telemetry_ = telemetry;
-  if (!telemetry_) {
-    commands_metric_ = nullptr;
-    queued_metric_ = nullptr;
-    qos_deferrals_metric_ = nullptr;
-    qos_overrides_metric_ = nullptr;
-    wait_hist_ = nullptr;
-    return;
-  }
-  commands_metric_ = &telemetry_->metrics.counter("chip.commands");
-  queued_metric_ = &telemetry_->metrics.counter("chip.queued_commands");
+  metrics_ = {};
+  if (!telemetry_) return;
+  metrics_.commands = &telemetry_->metrics.counter("chip.commands");
+  metrics_.queued = &telemetry_->metrics.counter("chip.queued_commands");
   // Queueing waits span sub-µs bus gaps to ms-scale GC trains; log bins
   // keep relative resolution across the whole range (values in µs).
-  wait_hist_ = &telemetry_->metrics.histogram(
+  metrics_.wait_us = &telemetry_->metrics.histogram(
       "chip.wait_us",
       telemetry::HistogramSpec{
           .lo = 1e-2, .hi = 1e6, .bins = 160, .log_spaced = true});
@@ -397,9 +350,9 @@ void ChipScheduler::bind_qos_metrics() {
   // snapshots (the pinned golden set) are unaffected. enable_qos() and
   // attach_telemetry() both land here because either order is legal.
   if (!telemetry_ || !qos_enabled_) return;
-  qos_deferrals_metric_ =
+  metrics_.qos_deferrals =
       &telemetry_->metrics.counter("sched.qos_background_deferrals");
-  qos_overrides_metric_ =
+  metrics_.qos_overrides =
       &telemetry_->metrics.counter("sched.qos_fairness_overrides");
 }
 

@@ -141,21 +141,26 @@ class ChipScheduler {
   /// Schedules a flush/GC write result's NAND operations: the host program
   /// on its own chip, each GC relocation and erase on the next chip
   /// round-robin, so background trains parallelise instead of stalling the
-  /// whole array.
+  /// whole array. In QoS mode the train queues as throttleable background
+  /// work; otherwise it reserves the chips immediately, as submit() does.
   void submit_background(SimTime now, const ftl::WriteResult& result,
                          const LatencyModel& latency);
+
+  /// The same round-robin train without a host program: GC byproducts of
+  /// a write-through host program, refresh-scrub relocation trains.
+  void submit_maintenance(SimTime now, std::uint64_t moves,
+                          std::uint64_t erases, const LatencyModel& latency);
 
   /// Earliest time `chip` can start new work.
   SimTime free_at(std::size_t chip) const { return free_at_[chip]; }
 
   /// Switches the scheduler into QoS mode: commands submitted through
-  /// submit_qos()/submit_background_qos() queue per chip and dispatch by
+  /// submit_qos() (and the background trains) queue per chip and dispatch by
   /// `config.policy` instead of the legacy immediate-reservation path.
   /// Legacy submit() keeps working (and stays byte-identical) when QoS
   /// mode is never enabled. `sink` (may be null) receives completions of
   /// tagged commands.
   void enable_qos(const QosSchedulerConfig& config, QosSink* sink);
-  bool qos_enabled() const { return qos_enabled_; }
 
   /// Queues one command on `chip` (QoS mode only). The deadline is
   /// assigned here from the class budget and `priority`; completion of a
@@ -165,17 +170,6 @@ class ChipScheduler {
                            const ChipCommand& cmd, QosClass klass,
                            std::uint16_t tenant, std::uint8_t priority,
                            std::uint64_t tag, const char* op = "cmd");
-
-  /// QoS-mode analogue of submit_background(): the flush/GC program train
-  /// of one write result, all queued as throttleable background work.
-  void submit_background_qos(SimTime now, const ftl::WriteResult& result,
-                             const LatencyModel& latency);
-
-  /// Background maintenance without a host program: GC byproducts of a
-  /// write-through host program, refresh-scrub relocation trains.
-  void submit_maintenance_qos(SimTime now, std::uint64_t moves,
-                              std::uint64_t erases,
-                              const LatencyModel& latency);
 
   /// Total outstanding service time on `chip` at `now` (QoS mode): the
   /// active command's remaining occupancy plus the summed occupancy of
@@ -227,6 +221,17 @@ class ChipScheduler {
     const char* op = "cmd";
   };
 
+  /// Issue accounting of submit() and submit_qos(): command count and the
+  /// in-flight / max-queue-depth gauges.
+  void count_issue(std::size_t chip);
+  /// Start-of-service accounting of submit() and qos_start_service():
+  /// occupies `chip` from `start` (returns the completion), queued/wait
+  /// stats, busy split, wait histogram and wait/op spans.
+  SimTime start_service(std::size_t chip, SimTime arrival, SimTime start,
+                        const ChipCommand& cmd, const char* op);
+  /// One background-train command, routed by the scheduler's mode.
+  void submit_train_command(std::size_t chip, SimTime now,
+                            const ChipCommand& cmd, const char* op);
   Duration qos_class_budget(QosClass klass) const;
   double qos_tenant_weight(std::uint16_t tenant) const;
   /// Picks the next queue index to dispatch on `chip` at `now` per the
@@ -260,11 +265,14 @@ class ChipScheduler {
   std::uint64_t qos_fairness_overrides_ = 0;
 
   telemetry::Telemetry* telemetry_ = nullptr;
-  telemetry::MetricsRegistry::Counter* commands_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* queued_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* qos_deferrals_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* qos_overrides_metric_ = nullptr;
-  Histogram* wait_hist_ = nullptr;
+  /// Metric handles (null when detached; the QoS pair also outside QoS).
+  struct Metrics {
+    telemetry::MetricsRegistry::Counter* commands = nullptr;
+    telemetry::MetricsRegistry::Counter* queued = nullptr;
+    telemetry::MetricsRegistry::Counter* qos_deferrals = nullptr;
+    telemetry::MetricsRegistry::Counter* qos_overrides = nullptr;
+    Histogram* wait_us = nullptr;
+  } metrics_;
 };
 
 }  // namespace flex::ssd

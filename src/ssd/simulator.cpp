@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <limits>
 #include <optional>
+#include <tuple>
 #include <utility>
 
 #include "common/assert.h"
@@ -340,49 +341,30 @@ void SsdSimulator::attach_telemetry(telemetry::Telemetry* telemetry) {
   scheduler_.attach_telemetry(telemetry);
   ftl_.attach_telemetry(telemetry);
   policy_->attach_telemetry(telemetry);
-  if (!telemetry_) {
-    requests_metric_ = nullptr;
-    reads_metric_ = nullptr;
-    writes_metric_ = nullptr;
-    buffer_hits_metric_ = nullptr;
-    unmapped_metric_ = nullptr;
-    uncorrectable_metric_ = nullptr;
-    acked_metric_ = nullptr;
-    durable_metric_ = nullptr;
-    crashes_metric_ = nullptr;
-    integrity_verified_metric_ = nullptr;
-    integrity_mismatch_metric_ = nullptr;
-    tenant_reads_metrics_.clear();
-    tenant_writes_metrics_.clear();
-    tenant_rejected_metrics_.clear();
-    read_latency_us_hist_ = nullptr;
-    return;
-  }
+  metrics_ = {};
+  if (!telemetry_) return;
   telemetry::MetricsRegistry& registry = telemetry_->metrics;
-  requests_metric_ = &registry.counter("ssd.requests");
-  reads_metric_ = &registry.counter("ssd.reads");
-  writes_metric_ = &registry.counter("ssd.writes");
-  buffer_hits_metric_ = &registry.counter("ssd.buffer_hits");
-  unmapped_metric_ = &registry.counter("ssd.unmapped_reads");
-  uncorrectable_metric_ = &registry.counter("ssd.uncorrectable_reads");
-  acked_metric_ = &registry.counter("ssd.writes_acked");
-  durable_metric_ = &registry.counter("ssd.writes_durable");
-  crashes_metric_ = &registry.counter("ssd.crashes");
-  integrity_verified_metric_ =
+  metrics_.requests = &registry.counter("ssd.requests");
+  metrics_.reads = &registry.counter("ssd.reads");
+  metrics_.writes = &registry.counter("ssd.writes");
+  metrics_.buffer_hits = &registry.counter("ssd.buffer_hits");
+  metrics_.unmapped = &registry.counter("ssd.unmapped_reads");
+  metrics_.uncorrectable = &registry.counter("ssd.uncorrectable_reads");
+  metrics_.acked = &registry.counter("ssd.writes_acked");
+  metrics_.durable = &registry.counter("ssd.writes_durable");
+  metrics_.crashes = &registry.counter("ssd.crashes");
+  metrics_.integrity_verified =
       &registry.counter("ssd.integrity_verified_reads");
-  integrity_mismatch_metric_ =
+  metrics_.integrity_mismatch =
       &registry.counter("ssd.integrity_mismatch_reads");
-  tenant_reads_metrics_.clear();
-  tenant_writes_metrics_.clear();
-  tenant_rejected_metrics_.clear();
   for (std::uint32_t i = 0; i < tenant_count_; ++i) {
     const std::string prefix = "tenant." + std::to_string(i) + ".";
-    tenant_reads_metrics_.push_back(&registry.counter(prefix + "reads"));
-    tenant_writes_metrics_.push_back(&registry.counter(prefix + "writes"));
-    tenant_rejected_metrics_.push_back(
+    metrics_.tenant_reads.push_back(&registry.counter(prefix + "reads"));
+    metrics_.tenant_writes.push_back(&registry.counter(prefix + "writes"));
+    metrics_.tenant_rejected.push_back(
         &registry.counter(prefix + "rejected"));
   }
-  read_latency_us_hist_ = &registry.histogram(
+  metrics_.read_latency_us = &registry.histogram(
       "ssd.read_latency_us",
       telemetry::HistogramSpec{
           .lo = 1.0, .hi = 1e6, .bins = 240, .log_spaced = true});
@@ -421,23 +403,12 @@ void SsdSimulator::prefill(std::uint64_t pages) {
   prefill_stats_ = ftl_.stats();
 }
 
-int SsdSimulator::required_levels_cached(bool reduced, std::uint32_t pe,
-                                         Hours age, std::uint64_t ppn,
-                                         std::uint64_t block_reads,
-                                         bool* correctable) {
-  const auto assessment =
-      channel_.assess(reduced, pe, age, ppn, block_reads);
-  if (correctable != nullptr) *correctable = assessment.correctable;
-  return assessment.required_levels;
-}
-
 std::pair<bool, bool> SsdSimulator::verify_read_page(
     std::uint64_t lpn, const ftl::PageInfo& info) {
   if (!integrity_mode_) return {true, false};
   const ftl::SealVerdict verdict =
       ftl_.verify_page(lpn, info.ppn, info.block_reads);
-  ++results_.integrity_verified_reads;
-  if (telemetry_) ++integrity_verified_metric_->value;
+  count(results_.integrity_verified_reads, metrics_.integrity_verified);
   if (verdict.delivered_bad && !verdict.flagged) {
     // The only way here is a genuine CRC64 collision between two distinct
     // payload generations — the event the integrity bench asserts never
@@ -445,8 +416,7 @@ std::pair<bool, bool> SsdSimulator::verify_read_page(
     ++results_.integrity_undetected_reads;
   }
   if (!verdict.flagged) return {true, false};
-  ++results_.integrity_mismatch_reads;
-  if (telemetry_) ++integrity_mismatch_metric_->value;
+  count(results_.integrity_mismatch_reads, metrics_.integrity_mismatch);
   if (verdict.persistent && external_kernel_) {
     // Hand the unservable lpn to the array layer for replica failover.
     integrity_failed_lpns_.push_back(lpn);
@@ -454,21 +424,21 @@ std::pair<bool, bool> SsdSimulator::verify_read_page(
   return {false, verdict.persistent};
 }
 
-SsdSimulator::PageService SsdSimulator::service_read_page(std::uint64_t lpn,
-                                                          SimTime now) {
+SsdSimulator::PageReadPlan SsdSimulator::plan_read_page(
+    std::uint64_t lpn, SimTime now, ReadPlanning planning) {
+  const bool host = planning != ReadPlanning::kObserve;
+  PageReadPlan plan;
+  std::optional<ftl::PageInfo> info;
   if (buffer_.contains(lpn)) {
-    ++results_.buffer_hits;
-    if (telemetry_) ++buffer_hits_metric_->value;
-    return {.response = config_.latency.buffer_latency,
-            .buffer = config_.latency.buffer_latency};
-  }
-  const auto info = ftl_.lookup(lpn);
-  if (!info.has_value()) {
+    if (host) count(results_.buffer_hits, metrics_.buffer_hits);
+  } else if (info = ftl_.lookup(lpn); !info.has_value()) {
     // Read of never-written data: served from the mapping table alone.
-    ++results_.unmapped_reads;
-    if (telemetry_) ++unmapped_metric_->value;
-    return {.response = config_.latency.buffer_latency,
-            .buffer = config_.latency.buffer_latency};
+    if (host) count(results_.unmapped_reads, metrics_.unmapped);
+  }
+  if (!info.has_value()) {
+    plan.dram = PageService{.response = config_.latency.buffer_latency,
+                            .buffer = config_.latency.buffer_latency};
+    return plan;
   }
 
   const SimTime birth =
@@ -477,54 +447,60 @@ SsdSimulator::PageService SsdSimulator::service_read_page(std::uint64_t lpn,
           ? static_birth_[lpn]
           : info->write_time;
   const Hours age = static_cast<double>(now - birth) / (3600.0 * 1e9);
-  const bool reduced = info->mode == ftl::PageMode::kReduced;
-  bool correctable = true;
-  const int required =
-      required_levels_cached(reduced, info->pe_cycles, std::max(age, 0.0),
-                             info->ppn, info->block_reads, &correctable);
-  if (!correctable) {
-    ++results_.uncorrectable_reads;
-    if (telemetry_) ++uncorrectable_metric_->value;
+  const auto assessment =
+      channel_.assess(info->mode == ftl::PageMode::kReduced, info->pe_cycles,
+                      std::max(age, 0.0), info->ppn, info->block_reads);
+  plan.ctx = {.lpn = lpn,
+              .ppn = info->ppn,
+              .required_levels = assessment.required_levels,
+              .block_reads = info->block_reads,
+              .correctable = assessment.correctable,
+              .now = now};
+  if (!host) return plan;
+  if (!assessment.correctable) {
+    count(results_.uncorrectable_reads, metrics_.uncorrectable);
   }
-  ++results_.sensing_level_reads[static_cast<std::size_t>(required)];
-  const auto [integrity_ok, integrity_persistent] =
+  ++results_.sensing_level_reads[static_cast<std::size_t>(
+      assessment.required_levels)];
+  std::tie(plan.ctx.integrity_ok, plan.ctx.integrity_persistent) =
       verify_read_page(lpn, *info);
-
-  const ReadContext ctx{.lpn = lpn,
-                        .ppn = info->ppn,
-                        .required_levels = required,
-                        .block_reads = info->block_reads,
-                        .correctable = correctable,
-                        .integrity_ok = integrity_ok,
-                        .integrity_persistent = integrity_persistent,
-                        .now = now};
-  telemetry::SpanRecorder* tracer =
-      telemetry_ ? telemetry_->tracer() : nullptr;
-  attempts_scratch_.clear();
-  if (tracer) {
+  if (planning == ReadPlanning::kTrace) {
     // Must run before read_cost: the hint policy updates its per-page
     // memory there, and trace_attempts reproduces the pre-update walk.
-    policy_->trace_attempts(ctx, attempts_scratch_);
+    attempts_scratch_.clear();
+    policy_->trace_attempts(plan.ctx, attempts_scratch_);
   }
-  const std::vector<ReadAttempt>& attempts = attempts_scratch_;
-  const ReadCost cost = policy_->read_cost(ctx);
-  const SimTime completion =
-      scheduler_.submit(scheduler_.chip_of(info->ppn), now,
-                        ChipCommand{.channel = cost.channel,
-                                    .die = cost.die,
-                                    .controller = cost.controller},
-                        "read");
-  const SimTime start = completion - cost.total();
+  const ReadCost cost = policy_->read_cost(plan.ctx);
+  plan.cmd = {.channel = cost.channel,
+              .die = cost.die,
+              .controller = cost.controller};
+  return plan;
+}
+
+void SsdSimulator::finish_read_page(const ReadContext& ctx) {
+  // This read's own pass-voltage stress lands on the block before any
+  // post-read maintenance (RefreshPolicy) inspects the counter.
+  ftl_.record_read(ctx.ppn);
+  policy_->on_read_complete(ctx);
+}
+
+SsdSimulator::PageService SsdSimulator::service_read_page(std::uint64_t lpn,
+                                                          SimTime now) {
+  telemetry::SpanRecorder* tracer =
+      telemetry_ ? telemetry_->tracer() : nullptr;
+  const PageReadPlan plan = plan_read_page(
+      lpn, now, tracer ? ReadPlanning::kTrace : ReadPlanning::kCost);
+  if (plan.dram.has_value()) return *plan.dram;
+  const std::size_t chip = scheduler_.chip_of(plan.ctx.ppn);
+  const SimTime completion = scheduler_.submit(chip, now, plan.cmd, "read");
+  const SimTime start = completion - plan.cmd.total();
   if (tracer) {
     // Child spans partition [start, completion] attempt by attempt; they
     // are recorded after the scheduler's enclosing "read" span, so the
     // exporter's stable sort keeps parent-before-child nesting.
-    const auto tid =
-        static_cast<std::int32_t>(scheduler_.chip_of(info->ppn));
     SimTime cursor = start;
-    for (std::size_t round = 0; round < attempts.size(); ++round) {
-      const ReadAttempt& attempt = attempts[round];
-      const auto levels = static_cast<double>(attempt.levels);
+    for (std::size_t round = 0; round < attempts_scratch_.size(); ++round) {
+      const ReadAttempt& attempt = attempts_scratch_[round];
       for (const auto& [name, dur] :
            {std::pair{"sense", attempt.cost.die},
             std::pair{"xfer", attempt.cost.channel},
@@ -533,70 +509,47 @@ SsdSimulator::PageService SsdSimulator::service_read_page(std::uint64_t lpn,
         tracer->record({.name = name,
                         .cat = "read",
                         .pid = telemetry_->pid,
-                        .tid = tid,
+                        .tid = static_cast<std::int32_t>(chip),
                         .start = cursor,
                         .dur = dur,
                         .arg0_key = "levels",
-                        .arg0 = levels,
+                        .arg0 = static_cast<double>(attempt.levels),
                         .arg1_key = "round",
                         .arg1 = static_cast<double>(round)});
         cursor += dur;
       }
     }
   }
-  // This read's own pass-voltage stress lands on the block before any
-  // post-read maintenance (RefreshPolicy) inspects the counter.
-  ftl_.record_read(info->ppn);
-  policy_->on_read_complete(ctx);
+  finish_read_page(plan.ctx);
   return {.response = completion - now,
           .wait = start - now,
-          .sense = cost.die,
-          .transfer = cost.channel,
-          .decode = cost.controller};
+          .sense = plan.cmd.die,
+          .transfer = plan.cmd.channel,
+          .decode = plan.cmd.controller};
 }
 
 void SsdSimulator::mark_durable(std::uint64_t lpn) {
   durable_version_[lpn] = ftl_.data_version(lpn);
 }
 
-void SsdSimulator::flush_victim(std::uint64_t lpn, SimTime now) {
-  const ftl::WriteResult result =
-      ftl_.write(lpn, policy_->write_mode(lpn), now);
-  if (qos_mode_) {
-    scheduler_.submit_background_qos(now, result, config_.latency);
-  } else {
-    scheduler_.submit_background(now, result, config_.latency);
-  }
+void SsdSimulator::record_durable(std::uint64_t lpn) {
   mark_durable(lpn);
-  ++results_.writes_durable;
-  if (telemetry_) ++durable_metric_->value;
+  count(results_.writes_durable, metrics_.durable);
 }
 
-Duration SsdSimulator::service_write_page(std::uint64_t lpn, SimTime now) {
-  ++results_.writes_acked;
-  if (telemetry_) ++acked_metric_->value;
-  if (config_.durability.policy == DurabilityPolicy::kFua) {
-    // Force-unit-access: program before acknowledging, then keep the page
-    // cached (clean) for reads. The ack carries the program latency — the
-    // price of making "acknowledged" mean "durable" per write.
-    const ftl::WriteResult result =
-        ftl_.write(lpn, policy_->write_mode(lpn), now);
-    scheduler_.submit_background(now, result, config_.latency);
-    mark_durable(lpn);
-    ++results_.writes_durable;
-    if (telemetry_) ++durable_metric_->value;
-    for (const std::uint64_t victim : buffer_.insert_clean(lpn)) {
-      flush_victim(victim, now);
-    }
-    return config_.latency.buffer_latency + config_.latency.program();
-  }
-  const std::vector<std::uint64_t>& flush = buffer_.write(lpn);
+void SsdSimulator::flush_victim(std::uint64_t lpn, SimTime now) {
+  scheduler_.submit_background(
+      now, ftl_.write(lpn, policy_->write_mode(lpn), now), config_.latency);
+  record_durable(lpn);
+}
+
+void SsdSimulator::write_back_page(std::uint64_t lpn, SimTime now) {
   // Write-back semantics: the host write completes at buffer insertion;
   // evicted pages flush to NAND in the background, where their program and
   // GC time occupies the chips and delays subsequent reads — which is
   // exactly how the over-provisioning squeeze of reduced-state storage
   // surfaces in the paper's Fig. 6(a).
-  for (const std::uint64_t victim : flush) {
+  for (const std::uint64_t victim : buffer_.write(lpn)) {
     flush_victim(victim, now);
   }
   if (config_.durability.policy == DurabilityPolicy::kFlushBarrier &&
@@ -604,7 +557,33 @@ Duration SsdSimulator::service_write_page(std::uint64_t lpn, SimTime now) {
     acked_since_barrier_ = 0;
     flush_barrier_at(now);
   }
-  return config_.latency.buffer_latency;
+}
+
+template <typename SubmitProgram>
+void SsdSimulator::write_through_page(std::uint64_t lpn, SimTime now,
+                                      SubmitProgram submit_program) {
+  // The program reaches the chips before any victim the clean copy evicts.
+  submit_program(ftl_.write(lpn, policy_->write_mode(lpn), now));
+  record_durable(lpn);
+  for (const std::uint64_t victim : buffer_.insert_clean(lpn)) {
+    flush_victim(victim, now);
+  }
+}
+
+Duration SsdSimulator::service_write_page(std::uint64_t lpn, SimTime now) {
+  count(results_.writes_acked, metrics_.acked);
+  if (config_.durability.policy != DurabilityPolicy::kFua) {
+    write_back_page(lpn, now);
+    return config_.latency.buffer_latency;
+  }
+  // Force-unit-access: program before acknowledging. The synchronous path
+  // charges the ack buffer + program time without the chip's queue wait
+  // (the program rides the background train), a deliberate difference
+  // from the queued QoS write-through.
+  write_through_page(lpn, now, [&](const ftl::WriteResult& result) {
+    scheduler_.submit_background(now, result, config_.latency);
+  });
+  return config_.latency.buffer_latency + config_.latency.program();
 }
 
 void SsdSimulator::flush_barrier_at(SimTime now) {
@@ -632,17 +611,20 @@ void SsdSimulator::power_loss() {
   qos_requests_.clear();
   qos_free_slots_.clear();
   std::fill(qos_outstanding_.begin(), qos_outstanding_.end(), 0);
-  ++results_.crashes;
-  if (telemetry_) {
-    ++crashes_metric_->value;
-    if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
-      tracer->record({.name = "power_loss",
-                      .cat = "sim",
-                      .pid = telemetry_->pid,
-                      .tid = telemetry::kHostTrack,
-                      .start = now,
-                      .dur = 0});
-    }
+  count(results_.crashes, metrics_.crashes);
+  record_host_span("power_loss", now, 0);
+}
+
+void SsdSimulator::record_host_span(const char* name, SimTime start,
+                                    Duration dur) {
+  if (!telemetry_) return;
+  if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
+    tracer->record({.name = name,
+                    .cat = "sim",
+                    .pid = telemetry_->pid,
+                    .tid = telemetry::kHostTrack,
+                    .start = start,
+                    .dur = dur});
   }
 }
 
@@ -663,16 +645,7 @@ ftl::MountReport SsdSimulator::mount() {
                             report.pages_scanned) *
       config_.latency.oob_scan_per_page;
   results_.mount_time += duration;
-  if (telemetry_) {
-    if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
-      tracer->record({.name = "mount",
-                      .cat = "sim",
-                      .pid = telemetry_->pid,
-                      .tid = telemetry::kHostTrack,
-                      .start = now,
-                      .dur = duration});
-    }
-  }
+  record_host_span("mount", now, duration);
   // Mount() reset the FTL's cumulative stats, so the delta baseline
   // restarts from zero too.
   prefill_stats_ = ftl::FtlStats{};
@@ -687,12 +660,16 @@ void SsdSimulator::record_request_stats(bool is_write, std::uint16_t tenant,
                                         SimTime arrival, std::uint64_t lpn,
                                         std::uint32_t pages) {
   const double seconds = to_seconds(response);
+  TenantStats& tstats = results_.tenant[tenant];
   results_.all_response.add(seconds);
   if (is_write) {
     results_.write_response.add(seconds);
+    tstats.write_response.add(seconds);
   } else {
     results_.read_response.add(seconds);
     results_.read_latency_hist.add(seconds);
+    tstats.read_response.add(seconds);
+    tstats.read_latency_hist.add(seconds);
     results_.read_breakdown.queue_wait += slowest.wait;
     results_.read_breakdown.sensing += slowest.sense;
     results_.read_breakdown.transfer += slowest.transfer;
@@ -706,22 +683,15 @@ void SsdSimulator::record_request_stats(bool is_write, std::uint16_t tenant,
       results_.decode_share_hist.add(slowest.decode / total);
     }
   }
-  TenantStats& tstats = results_.tenant[tenant];
-  if (is_write) {
-    tstats.write_response.add(seconds);
-  } else {
-    tstats.read_response.add(seconds);
-    tstats.read_latency_hist.add(seconds);
-  }
   if (telemetry_) {
-    ++requests_metric_->value;
+    ++metrics_.requests->value;
     if (is_write) {
-      ++writes_metric_->value;
-      ++tenant_writes_metrics_[tenant]->value;
+      ++metrics_.writes->value;
+      ++metrics_.tenant_writes[tenant]->value;
     } else {
-      ++reads_metric_->value;
-      ++tenant_reads_metrics_[tenant]->value;
-      read_latency_us_hist_->add(seconds * 1e6);
+      ++metrics_.reads->value;
+      ++metrics_.tenant_reads[tenant]->value;
+      metrics_.read_latency_us->add(seconds * 1e6);
     }
     if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
       tracer->record({.name = is_write ? "write" : "read",
@@ -790,31 +760,13 @@ bool SsdSimulator::page_verifies(std::uint64_t lpn) const {
 }
 
 void SsdSimulator::observe_read_access(std::uint64_t lpn, SimTime now) {
-  if (buffer_.contains(lpn)) return;
-  const auto info = ftl_.lookup(lpn);
-  if (!info.has_value()) return;
-  const SimTime birth =
-      config_.age_model == AgeModel::kStaticPerLba &&
-              lpn < static_birth_.size()
-          ? static_birth_[lpn]
-          : info->write_time;
-  const Hours age = static_cast<double>(now - birth) / (3600.0 * 1e9);
-  const bool reduced = info->mode == ftl::PageMode::kReduced;
-  bool correctable = true;
-  const int required =
-      required_levels_cached(reduced, info->pe_cycles, std::max(age, 0.0),
-                             info->ppn, info->block_reads, &correctable);
   // Pure access-statistics update: no scheduler occupancy, no disturb
   // stress (ftl_.record_read is skipped — the sibling never touched its
   // NAND), no uncorrectable/sensing-histogram accounting. Migrations the
   // policy decides here are real FTL work, exactly as they would be had
   // the read landed on this replica.
-  policy_->on_read_complete({.lpn = lpn,
-                             .ppn = info->ppn,
-                             .required_levels = required,
-                             .block_reads = info->block_reads,
-                             .correctable = correctable,
-                             .now = now});
+  const PageReadPlan plan = plan_read_page(lpn, now, ReadPlanning::kObserve);
+  if (!plan.dram.has_value()) policy_->on_read_complete(plan.ctx);
 }
 
 std::uint64_t SsdSimulator::block_read_count(std::uint64_t lpn) const {
@@ -825,23 +777,20 @@ std::uint64_t SsdSimulator::block_read_count(std::uint64_t lpn) const {
 void SsdSimulator::service_request_qos(const trace::Request& request,
                                        SimTime now) {
   const std::uint16_t tenant = tenant_of(request);
-  if (config_.qos.admission_max_outstanding > 0 &&
-      qos_outstanding_[tenant] >= config_.qos.admission_max_outstanding) {
-    // Rejected before any FTL mutation: admission control is what bounds
-    // both queue memory and drive-state divergence under overload.
+  // Rejected before any slot or FTL mutation: the per-tenant queue-depth
+  // cap is what bounds both queue memory and drive-state divergence under
+  // overload; SLO admission rejects a predicted deadline miss.
+  const bool over_cap =
+      config_.qos.admission_max_outstanding > 0 &&
+      qos_outstanding_[tenant] >= config_.qos.admission_max_outstanding;
+  const bool slo_miss = !over_cap && !request.is_write &&
+                        config_.qos.slo_read_admission &&
+                        !slo_admit_read(request, now);
+  if (over_cap || slo_miss) {
     ++results_.tenant[tenant].admission_rejected;
     ++results_.admission_rejected;
-    if (telemetry_) ++tenant_rejected_metrics_[tenant]->value;
-    return;
-  }
-  if (!request.is_write && config_.qos.slo_read_admission &&
-      !slo_admit_read(request, now)) {
-    // Predicted deadline miss: rejected before any slot or FTL mutation,
-    // like the queue-depth cap above.
-    ++results_.tenant[tenant].admission_rejected;
-    ++results_.admission_rejected;
-    ++results_.slo_rejected;
-    if (telemetry_) ++tenant_rejected_metrics_[tenant]->value;
+    if (slo_miss) ++results_.slo_rejected;
+    if (telemetry_) ++metrics_.tenant_rejected[tenant]->value;
     return;
   }
   std::uint64_t slot;
@@ -867,14 +816,14 @@ void SsdSimulator::service_request_qos(const trace::Request& request,
   for (std::uint32_t i = 0; i < request.pages; ++i) {
     const std::uint64_t lpn = (request.lpn + i) % logical;
     if (request.is_write) {
-      issue_write_page_qos(lpn, slot, request.priority, now);
+      queue_write_page(lpn, slot, request.priority, now);
     } else {
-      issue_read_page_qos(lpn, slot, request.priority, now);
+      queue_read_page(lpn, slot, request.priority, now);
     }
   }
   // Drop the issue guard; a request whose pages all resolved
   // synchronously (buffer hits, buffered writes) finalizes here.
-  if (--qos_requests_[slot].outstanding == 0) finalize_qos(slot, now);
+  if (--qos_requests_[slot].outstanding == 0) finalize_qos(slot);
 }
 
 bool SsdSimulator::slo_admit_read(const trace::Request& request,
@@ -909,86 +858,40 @@ bool SsdSimulator::slo_admit_read(const trace::Request& request,
   return admit;
 }
 
-void SsdSimulator::issue_read_page_qos(std::uint64_t lpn, std::uint64_t slot,
-                                       std::uint8_t priority, SimTime now) {
+void SsdSimulator::queue_read_page(std::uint64_t lpn, std::uint64_t slot,
+                                   std::uint8_t priority, SimTime now) {
   QosRequest& st = qos_requests_[slot];
-  if (buffer_.contains(lpn)) {
-    ++results_.buffer_hits;
-    if (telemetry_) ++buffer_hits_metric_->value;
-    const PageService page{.response = config_.latency.buffer_latency,
-                           .buffer = config_.latency.buffer_latency};
-    if (page.response > st.slowest.response) st.slowest = page;
-    return;
-  }
-  const auto info = ftl_.lookup(lpn);
-  if (!info.has_value()) {
-    ++results_.unmapped_reads;
-    if (telemetry_) ++unmapped_metric_->value;
-    const PageService page{.response = config_.latency.buffer_latency,
-                           .buffer = config_.latency.buffer_latency};
-    if (page.response > st.slowest.response) st.slowest = page;
-    return;
-  }
-
-  const SimTime birth =
-      config_.age_model == AgeModel::kStaticPerLba &&
-              lpn < static_birth_.size()
-          ? static_birth_[lpn]
-          : info->write_time;
-  const Hours age = static_cast<double>(now - birth) / (3600.0 * 1e9);
-  const bool reduced = info->mode == ftl::PageMode::kReduced;
-  bool correctable = true;
-  const int required =
-      required_levels_cached(reduced, info->pe_cycles, std::max(age, 0.0),
-                             info->ppn, info->block_reads, &correctable);
-  if (!correctable) {
-    ++results_.uncorrectable_reads;
-    if (telemetry_) ++uncorrectable_metric_->value;
-  }
-  ++results_.sensing_level_reads[static_cast<std::size_t>(required)];
-  const auto [integrity_ok, integrity_persistent] =
-      verify_read_page(lpn, *info);
-
-  const ReadContext ctx{.lpn = lpn,
-                        .ppn = info->ppn,
-                        .required_levels = required,
-                        .block_reads = info->block_reads,
-                        .correctable = correctable,
-                        .integrity_ok = integrity_ok,
-                        .integrity_persistent = integrity_persistent,
-                        .now = now};
   // The whole read cost (progressive ladder, recovery re-read) is
   // computed at arrival and travels with the queued command; per-attempt
   // child spans are not recorded in QoS mode because the service start is
   // unknown until dispatch (the chip-level "read" span still is).
-  const ReadCost cost = policy_->read_cost(ctx);
+  const PageReadPlan plan = plan_read_page(lpn, now, ReadPlanning::kCost);
+  if (plan.dram.has_value()) {
+    if (plan.dram->response > st.slowest.response) st.slowest = *plan.dram;
+    return;
+  }
   ++st.outstanding;
-  scheduler_.submit_qos(scheduler_.chip_of(info->ppn), now,
-                        ChipCommand{.channel = cost.channel,
-                                    .die = cost.die,
-                                    .controller = cost.controller},
+  scheduler_.submit_qos(scheduler_.chip_of(plan.ctx.ppn), now, plan.cmd,
                         QosClass::kRead, st.tenant, priority, slot, "read");
   // FTL state mutations stay synchronous at arrival (identical drive-state
   // trajectory under every dispatch policy); a refresh scrub triggered by
   // this read queues its relocation train as throttleable background work.
+  // (The synchronous path deliberately never charges scrubs to the chips.)
   const std::uint64_t before_moves = ftl_.stats().refresh_page_moves;
   const std::uint64_t before_runs = ftl_.stats().refresh_runs;
-  ftl_.record_read(info->ppn);
-  policy_->on_read_complete(ctx);
+  finish_read_page(plan.ctx);
   const std::uint64_t moves =
       ftl_.stats().refresh_page_moves - before_moves;
   const std::uint64_t erases = ftl_.stats().refresh_runs - before_runs;
   if (moves + erases > 0) {
-    scheduler_.submit_maintenance_qos(now, moves, erases, config_.latency);
+    scheduler_.submit_maintenance(now, moves, erases, config_.latency);
   }
 }
 
-void SsdSimulator::issue_write_page_qos(std::uint64_t lpn,
-                                        std::uint64_t slot,
-                                        std::uint8_t priority, SimTime now) {
+void SsdSimulator::queue_write_page(std::uint64_t lpn, std::uint64_t slot,
+                                    std::uint8_t priority, SimTime now) {
   QosRequest& st = qos_requests_[slot];
-  ++results_.writes_acked;
-  if (telemetry_) ++acked_metric_->value;
+  count(results_.writes_acked, metrics_.acked);
   // Write admission: past the dirty watermark (or always, under kFua) the
   // page programs through to NAND as a *queued* host command — the ack
   // waits for the program, which is the back-pressure that keeps the
@@ -997,9 +900,13 @@ void SsdSimulator::issue_write_page_qos(std::uint64_t lpn,
       config_.durability.policy == DurabilityPolicy::kFua ||
       (config_.qos.write_admission_dirty_watermark > 0 &&
        buffer_.dirty_pages() >= config_.qos.write_admission_dirty_watermark);
-  if (write_through) {
-    const ftl::WriteResult result =
-        ftl_.write(lpn, policy_->write_mode(lpn), now);
+  if (!write_through) {
+    write_back_page(lpn, now);
+    st.write_response =
+        std::max(st.write_response, config_.latency.buffer_latency);
+    return;
+  }
+  write_through_page(lpn, now, [&](const ftl::WriteResult& result) {
     ++st.outstanding;
     scheduler_.submit_qos(scheduler_.chip_of(result.ppn), now,
                           ChipCommand{.die = config_.latency.program()},
@@ -1008,28 +915,10 @@ void SsdSimulator::issue_write_page_qos(std::uint64_t lpn,
     const std::uint64_t moves =
         result.page_programs > 0 ? result.page_programs - 1 : 0;
     if (moves + result.erases > 0) {
-      scheduler_.submit_maintenance_qos(now, moves, result.erases,
-                                        config_.latency);
+      scheduler_.submit_maintenance(now, moves, result.erases,
+                                    config_.latency);
     }
-    mark_durable(lpn);
-    ++results_.writes_durable;
-    if (telemetry_) ++durable_metric_->value;
-    for (const std::uint64_t victim : buffer_.insert_clean(lpn)) {
-      flush_victim(victim, now);
-    }
-    return;
-  }
-  const std::vector<std::uint64_t>& flush = buffer_.write(lpn);
-  for (const std::uint64_t victim : flush) {
-    flush_victim(victim, now);
-  }
-  if (config_.durability.policy == DurabilityPolicy::kFlushBarrier &&
-      ++acked_since_barrier_ >= config_.durability.flush_barrier_interval) {
-    acked_since_barrier_ = 0;
-    flush_barrier_at(now);
-  }
-  st.write_response =
-      std::max(st.write_response, config_.latency.buffer_latency);
+  });
 }
 
 void SsdSimulator::on_qos_complete(const QosCompletion& done) {
@@ -1050,11 +939,10 @@ void SsdSimulator::on_qos_complete(const QosCompletion& done) {
     if (page.response > st.slowest.response) st.slowest = page;
   }
   FLEX_ASSERT(st.outstanding > 0);
-  if (--st.outstanding == 0) finalize_qos(done.tag, done.completion);
+  if (--st.outstanding == 0) finalize_qos(done.tag);
 }
 
-void SsdSimulator::finalize_qos(std::uint64_t slot, SimTime completion) {
-  (void)completion;  // response latencies are measured per page
+void SsdSimulator::finalize_qos(std::uint64_t slot) {
   const QosRequest st = qos_requests_[slot];
   qos_free_slots_.push_back(slot);
   FLEX_ASSERT(qos_outstanding_[st.tenant] > 0);
@@ -1153,39 +1041,7 @@ void SsdSimulator::collect_results() {
   results_.retired_blocks = ftl_.retired_block_count();
   results_.chip_stats = scheduler_.stats();
   // Report trace-phase FTL activity only.
-  const ftl::FtlStats& total = ftl_.stats();
-  results_.ftl.host_writes = total.host_writes - prefill_stats_.host_writes;
-  results_.ftl.nand_writes = total.nand_writes - prefill_stats_.nand_writes;
-  results_.ftl.nand_erases = total.nand_erases - prefill_stats_.nand_erases;
-  results_.ftl.gc_runs = total.gc_runs - prefill_stats_.gc_runs;
-  results_.ftl.gc_page_moves =
-      total.gc_page_moves - prefill_stats_.gc_page_moves;
-  results_.ftl.mode_migrations =
-      total.mode_migrations - prefill_stats_.mode_migrations;
-  results_.ftl.refresh_runs = total.refresh_runs - prefill_stats_.refresh_runs;
-  results_.ftl.refresh_page_moves =
-      total.refresh_page_moves - prefill_stats_.refresh_page_moves;
-  results_.ftl.program_fails =
-      total.program_fails - prefill_stats_.program_fails;
-  results_.ftl.erase_fails = total.erase_fails - prefill_stats_.erase_fails;
-  results_.ftl.grown_defects =
-      total.grown_defects - prefill_stats_.grown_defects;
-  results_.ftl.retired_blocks =
-      total.retired_blocks - prefill_stats_.retired_blocks;
-  results_.ftl.retire_page_moves =
-      total.retire_page_moves - prefill_stats_.retire_page_moves;
-  results_.ftl.mounts = total.mounts - prefill_stats_.mounts;
-  results_.ftl.mount_pages_scanned =
-      total.mount_pages_scanned - prefill_stats_.mount_pages_scanned;
-  results_.ftl.mount_mappings_recovered =
-      total.mount_mappings_recovered - prefill_stats_.mount_mappings_recovered;
-  results_.ftl.mount_stale_records =
-      total.mount_stale_records - prefill_stats_.mount_stale_records;
-  results_.ftl.misdirected_writes =
-      total.misdirected_writes - prefill_stats_.misdirected_writes;
-  results_.ftl.torn_relocations =
-      total.torn_relocations - prefill_stats_.torn_relocations;
-  results_.ftl.repair_writes = total.repair_writes - prefill_stats_.repair_writes;
+  results_.ftl = ftl_.stats() - prefill_stats_;
   results_.qos_request_slots_high_water = qos_slots_high_water_;
   results_.qos_pending_high_water = scheduler_.qos_pending_high_water();
   results_.background_deferrals = scheduler_.qos_background_deferrals();

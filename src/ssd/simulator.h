@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -481,14 +482,6 @@ class SsdSimulator : private QosSink {
   /// reads bypass NAND seals entirely).
   bool page_verifies(std::uint64_t lpn) const;
 
-  /// Is `lpn` currently dirty in the controller write buffer? Mirror
-  /// audits skip version comparison for buffered pages: flush timing is
-  /// drive-local, so sibling replicas legitimately disagree on how much
-  /// of the same acknowledged write stream has reached NAND.
-  bool page_buffered(std::uint64_t lpn) const {
-    return buffer_.contains(lpn);
-  }
-
   /// Folds policy/FTL/scheduler counters into results_ (the shared tail
   /// of run_segment and run_open_loop). Public so an external-kernel host
   /// can snapshot per-drive results after draining the shared kernel.
@@ -574,17 +567,27 @@ class SsdSimulator : private QosSink {
     Duration write_response = 0;  ///< writes: slowest page ack latency
   };
 
+  /// What a plan_read_page caller needs beyond the read's context.
+  enum class ReadPlanning {
+    kObserve,  ///< context only: nothing counted, verified or costed
+    kCost,     ///< a host read: counted, verified and costed
+    kTrace,    ///< kCost plus the per-attempt split in attempts_scratch_
+  };
+  /// One page read resolved up to its chip command: DRAM-served (`dram`
+  /// set: buffer hit or unmapped lpn) or a NAND read's context and cost.
+  struct PageReadPlan {
+    std::optional<PageService> dram;
+    ReadContext ctx;
+    ChipCommand cmd;
+  };
+
   Duration service_request(const trace::Request& request, SimTime now);
   void service_request_qos(const trace::Request& request, SimTime now);
   /// SLO admission predicate (qos.slo_read_admission): true when every
   /// page of this read is predicted to meet its deadline budget.
   bool slo_admit_read(const trace::Request& request, SimTime now);
-  void issue_read_page_qos(std::uint64_t lpn, std::uint64_t slot,
-                           std::uint8_t priority, SimTime now);
-  void issue_write_page_qos(std::uint64_t lpn, std::uint64_t slot,
-                            std::uint8_t priority, SimTime now);
   void on_qos_complete(const QosCompletion& done) override;
-  void finalize_qos(std::uint64_t slot, SimTime completion);
+  void finalize_qos(std::uint64_t slot);
   /// Shared stat-recording tail of both service paths.
   void record_request_stats(bool is_write, std::uint16_t tenant,
                             Duration response, const PageService& slowest,
@@ -598,28 +601,51 @@ class SsdSimulator : private QosSink {
   void pump_open_loop();
   /// Runs the event queue dry (crash-armed when injection is on).
   void drain_events();
+  /// The one read-resolution step of every read path (sync, QoS, array
+  /// hotness feed): buffer/unmapped check, age, channel assessment,
+  /// read-back verification, the ReadContext and the policy's cost.
+  PageReadPlan plan_read_page(std::uint64_t lpn, SimTime now,
+                              ReadPlanning planning);
+  /// Shared tail of a dispatched NAND read: disturb stress, maintenance.
+  void finish_read_page(const ReadContext& ctx);
+  /// Page dispatchers: synchronous chip reservation (service_*) vs queued
+  /// commands completing into request `slot` (queue_*).
   PageService service_read_page(std::uint64_t lpn, SimTime now);
+  void queue_read_page(std::uint64_t lpn, std::uint64_t slot,
+                       std::uint8_t priority, SimTime now);
   Duration service_write_page(std::uint64_t lpn, SimTime now);
-  /// Shared read-back verification hook of both read paths (no-op values
-  /// when integrity is off): counts verified/mismatch/undetected reads
-  /// and records persistent failures for the array layer. Returns the
-  /// (integrity_ok, integrity_persistent) pair for the ReadContext.
+  void queue_write_page(std::uint64_t lpn, std::uint64_t slot,
+                        std::uint8_t priority, SimTime now);
+  /// Write-back step: buffer insert, victim flushes, flush-barrier check.
+  void write_back_page(std::uint64_t lpn, SimTime now);
+  /// Write-through step: FTL write (`submit_program` routes its program to
+  /// the chips), durable mark, clean insert whose victims flush behind it.
+  template <typename SubmitProgram>
+  void write_through_page(std::uint64_t lpn, SimTime now,
+                          SubmitProgram submit_program);
+  /// plan_read_page's read-back verification (no-op when integrity is
+  /// off): counts verified/mismatch/undetected reads, records persistent
+  /// failures for the array layer, returns (integrity_ok, persistent).
   std::pair<bool, bool> verify_read_page(std::uint64_t lpn,
                                          const ftl::PageInfo& info);
   /// Programs one buffered page to NAND and records it durable.
   void flush_victim(std::uint64_t lpn, SimTime now);
   /// Marks lpn's *current* FTL version as the durable one.
   void mark_durable(std::uint64_t lpn);
+  /// mark_durable plus the writes_durable count.
+  void record_durable(std::uint64_t lpn);
   void flush_barrier_at(SimTime now);
+  /// A "sim" span on the host track (power loss, mount) when tracing.
+  void record_host_span(const char* name, SimTime start, Duration dur);
+  /// Bumps a results_ counter and, with telemetry attached, its metric.
+  void count(std::uint64_t& counter,
+             telemetry::MetricsRegistry::Counter* metric) {
+    ++counter;
+    if (telemetry_) ++metric->value;
+  }
   /// Resets `results_` to empty, with `sensing_level_reads` sized to the
   /// ladder (shared by the constructor and reset_measurements()).
   void clear_results();
-  /// Sensing requirement of one read — a thin delegation to
-  /// channel_.assess() (which owns the BER cache, the disturb models, and
-  /// the threshold-tracking state).
-  int required_levels_cached(bool reduced, std::uint32_t pe, Hours age,
-                             std::uint64_t ppn, std::uint64_t block_reads,
-                             bool* correctable);
 
   SsdConfig config_;
   const reliability::BerModel& normal_model_;
@@ -685,23 +711,27 @@ class SsdSimulator : private QosSink {
   trace::Request open_loop_next_;
   std::uint64_t open_loop_remaining_ = 0;
   telemetry::Telemetry* telemetry_ = nullptr;
-  telemetry::MetricsRegistry::Counter* requests_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* reads_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* writes_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* buffer_hits_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* unmapped_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* uncorrectable_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* acked_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* durable_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* crashes_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* integrity_verified_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* integrity_mismatch_metric_ = nullptr;
-  /// Per-tenant counters (tenant.<i>.reads/.writes/.rejected), sized
-  /// tenant_count_ when telemetry is attached.
-  std::vector<telemetry::MetricsRegistry::Counter*> tenant_reads_metrics_;
-  std::vector<telemetry::MetricsRegistry::Counter*> tenant_writes_metrics_;
-  std::vector<telemetry::MetricsRegistry::Counter*> tenant_rejected_metrics_;
-  Histogram* read_latency_us_hist_ = nullptr;
+  /// Metric handles bound by attach_telemetry() (null when detached); the
+  /// tenant.<i>.reads/.writes/.rejected vectors are sized tenant_count_.
+  struct Metrics {
+    using Counter = telemetry::MetricsRegistry::Counter;
+    Counter* requests = nullptr;
+    Counter* reads = nullptr;
+    Counter* writes = nullptr;
+    Counter* buffer_hits = nullptr;
+    Counter* unmapped = nullptr;
+    Counter* uncorrectable = nullptr;
+    Counter* acked = nullptr;
+    Counter* durable = nullptr;
+    Counter* crashes = nullptr;
+    Counter* integrity_verified = nullptr;
+    Counter* integrity_mismatch = nullptr;
+    std::vector<Counter*> tenant_reads;
+    std::vector<Counter*> tenant_writes;
+    std::vector<Counter*> tenant_rejected;
+    Histogram* read_latency_us = nullptr;
+  };
+  Metrics metrics_;
 };
 
 }  // namespace flex::ssd

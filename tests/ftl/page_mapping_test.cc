@@ -1,5 +1,7 @@
 #include "ftl/page_mapping.h"
 
+#include <cstdint>
+#include <iterator>
 #include <unordered_map>
 
 #include <gtest/gtest.h>
@@ -180,6 +182,37 @@ TEST(PageMappingTest, InitialPeCyclesApplied) {
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->pe_cycles, 6000u);
   EXPECT_EQ(ftl.min_erase_count(), 6000u);
+}
+
+TEST(FtlStatsTest, DifferenceSubtractsEveryFieldOnItsOwn) {
+  // Every field, so a field operator- forgets or crosses shows up here.
+  constexpr std::uint64_t FtlStats::*kFields[] = {
+      &FtlStats::host_writes,         &FtlStats::nand_writes,
+      &FtlStats::nand_erases,         &FtlStats::gc_runs,
+      &FtlStats::gc_page_moves,       &FtlStats::mode_migrations,
+      &FtlStats::refresh_runs,        &FtlStats::refresh_page_moves,
+      &FtlStats::program_fails,       &FtlStats::erase_fails,
+      &FtlStats::grown_defects,       &FtlStats::retired_blocks,
+      &FtlStats::retire_page_moves,   &FtlStats::mounts,
+      &FtlStats::mount_pages_scanned, &FtlStats::mount_mappings_recovered,
+      &FtlStats::mount_stale_records, &FtlStats::misdirected_writes,
+      &FtlStats::torn_relocations,    &FtlStats::repair_writes,
+  };
+  static_assert(std::size(kFields) * sizeof(std::uint64_t) ==
+                sizeof(FtlStats));
+  FtlStats before;
+  FtlStats after;
+  for (std::uint64_t i = 0; i < std::size(kFields); ++i) {
+    // Distinct baselines and distinct deltas per field.
+    before.*kFields[i] = 1000 * (i + 1);
+    after.*kFields[i] = 1000 * (i + 1) + 7 * (i + 1);
+  }
+  const FtlStats delta = after - before;
+  for (std::uint64_t i = 0; i < std::size(kFields); ++i) {
+    EXPECT_EQ(delta.*kFields[i], 7 * (i + 1)) << "field " << i;
+  }
+  EXPECT_EQ(after - after, FtlStats{});
+  EXPECT_EQ(after - FtlStats{}, after);
 }
 
 TEST(PageMappingDeathTest, MigrateRequiresMappedPage) {

@@ -5,6 +5,7 @@
 // and a GC+refresh storm on an aged faulty drive with zero durability or
 // disturb violations. Small scaled drive, fixed seeds, deterministic.
 #include <cstdint>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -215,6 +216,58 @@ TEST_F(QosOverloadTest, QosStateTrajectoryMatchesLegacyClosedLoop) {
   EXPECT_EQ(a.write_response.count(), b.write_response.count());
   EXPECT_EQ(a.buffer_hits, b.buffer_hits);
   EXPECT_EQ(a.uncorrectable_reads, b.uncorrectable_reads);
+}
+
+TEST_F(QosOverloadTest, QosFifoSingleTenantReproducesSyncPath) {
+  // Differential pin of the shared read/write plan: with one tenant, FIFO
+  // dispatch, write-back and refresh off, the queued path must serve the
+  // same trace exactly like the synchronous one — same chip occupancy,
+  // same FTL trajectory, same read-latency distribution. Only the order
+  // of ties and of floating-point sums may differ, so the per-component
+  // breakdown split and the response sums are not compared.
+  for (const Scheme scheme : {Scheme::kBaseline, Scheme::kLdpcInSsd,
+                              Scheme::kLevelAdjustOnly, Scheme::kFlexLevel}) {
+    for (const double iops : {800.0, 3'000.0, 8'000.0}) {
+      SCOPED_TRACE(scheme_name(scheme) + " @ " + std::to_string(iops));
+      workload::EngineConfig engine = engine_config(iops, 8'000);
+      engine.tenants =
+          workload::zipf_tenant_population(1, 0.9, /*footprint_pages=*/4000);
+      workload::WorkloadEngine source(engine);
+      const auto requests = source.materialize(8'000);
+
+      SsdConfig sync_cfg = config();
+      sync_cfg.scheme = scheme;
+      sync_cfg.qos = QosConfig{};
+      SsdConfig qos_cfg = sync_cfg;
+      qos_cfg.qos.enabled = true;
+      qos_cfg.qos.policy = QosPolicy::kFifo;
+
+      SsdSimulator sync_sim(std::move(sync_cfg), *normal_, *reduced_);
+      sync_sim.prefill(4000);
+      const SsdResults a = sync_sim.run(requests);
+      SsdSimulator qos_sim(std::move(qos_cfg), *normal_, *reduced_);
+      qos_sim.prefill(4000);
+      const SsdResults b = qos_sim.run(requests);
+
+      EXPECT_EQ(a.read_latency_hist, b.read_latency_hist);
+      EXPECT_EQ(a.read_breakdown.total(), b.read_breakdown.total());
+      EXPECT_EQ(a.chip_stats, b.chip_stats);
+      EXPECT_EQ(a.ftl, b.ftl);
+      EXPECT_EQ(a.buffer_hits, b.buffer_hits);
+      EXPECT_EQ(a.sensing_level_reads, b.sensing_level_reads);
+      EXPECT_EQ(a.writes_acked, b.writes_acked);
+      EXPECT_EQ(a.writes_durable, b.writes_durable);
+      EXPECT_EQ(a.migrations_to_reduced, b.migrations_to_reduced);
+      // Not vacuous: the trace reads NAND, writes, and queues on chips.
+      EXPECT_GT(a.read_breakdown.sensing, 0);
+      EXPECT_GT(a.ftl.host_writes, 0u);
+      std::uint64_t queued = 0;
+      for (const ChipStats& chip : a.chip_stats) {
+        queued += chip.queued_commands;
+      }
+      EXPECT_GT(queued, 0u);
+    }
+  }
 }
 
 TEST_F(QosOverloadTest, ValidateRejectsQosFootguns) {
