@@ -164,6 +164,7 @@ ssd::SsdResults ExperimentHarness::run_with(
                      static_cast<std::ptrdiff_t>(requests.size() / 3);
   sim.run_segment({requests.begin(), split});
   sim.reset_measurements();
+  const double setup_seconds = timer.seconds();
   // Telemetry attaches after warmup (deliberately not via the Builder) so
   // metrics and spans cover exactly the measured window. Observation-only:
   // results are bit-identical with or without it.
@@ -173,6 +174,7 @@ ssd::SsdResults ExperimentHarness::run_with(
   // copy-per-run() (which also copied and discarded the warmup results).
   ssd::SsdResults results = sim.results();
   results.wall_seconds = timer.seconds();
+  results.setup_seconds = setup_seconds;
   return results;
 }
 
@@ -204,10 +206,12 @@ ssd::SsdResults ExperimentHarness::run_open_loop(
   // start from a defined point instead of inheriting warmup queue debt.
   if (warmup_requests > 0) sim.run_open_loop(source, warmup_requests);
   sim.reset_measurements();
+  const double setup_seconds = timer.seconds();
   if (telemetry) sim.attach_telemetry(telemetry);
   sim.run_open_loop(source, measure_requests);
   ssd::SsdResults results = sim.results();
   results.wall_seconds = timer.seconds();
+  results.setup_seconds = setup_seconds;
   return results;
 }
 
@@ -410,6 +414,7 @@ void write_bench_json(const std::string& path, const std::string& bench,
         << format_double(r.read_latency_hist.quantile(0.99))
         << ",\"read_total_s\":" << format_double(r.read_response.sum())
         << ",\"wall_clock_s\":" << format_double(r.wall_seconds)
+        << ",\"setup_s\":" << format_double(r.setup_seconds)
         << ",\"breakdown_s\":{";
     const std::pair<const char*, Duration> parts[] = {
         {"queue_wait", b.queue_wait},
@@ -460,6 +465,7 @@ void write_bench_json(const std::string& path, const std::string& bench,
         << ",\"background_deferrals\":" << r.background_deferrals
         << ",\"fairness_overrides\":" << r.fairness_overrides
         << ",\"wall_clock_s\":" << format_double(r.wall_seconds)
+        << ",\"setup_s\":" << format_double(r.setup_seconds)
         << ",\"tenants\":[";
     for (std::size_t t = 0; t < r.tenant.size(); ++t) {
       const ssd::TenantStats& ts = r.tenant[t];

@@ -41,7 +41,7 @@ PageMappingFtl::PageMappingFtl(FtlConfig config)
   for (auto& block : blocks_) {
     block.erase_count = config_.initial_pe_cycles;
   }
-  pages_.assign(config_.spec.total_pages(), PageMeta{});
+  valid_.assign(config_.spec.total_pages(), false);
   if ((config_.spec.pages_per_block & (config_.spec.pages_per_block - 1)) ==
       0) {
     page_shift_ = 0;
@@ -76,7 +76,7 @@ PageMappingFtl::PageMappingFtl(FtlConfig config)
 void PageMappingFtl::clear_block_pages(std::uint32_t block_id) {
   const std::uint64_t base = make_ppn(block_id, 0);
   for (std::uint32_t p = 0; p < config_.spec.pages_per_block; ++p) {
-    pages_[base + p].lpn = kInvalid;
+    valid_[base + p] = false;
   }
 }
 
@@ -109,10 +109,10 @@ std::optional<PageInfo> PageMappingFtl::lookup(std::uint64_t lpn) const {
   const std::uint64_t ppn = map_[lpn];
   if (ppn == kInvalid) return std::nullopt;
   const BlockMeta& block = blocks_[block_of(ppn)];
-  FLEX_ASSERT(pages_[ppn].lpn == lpn);
+  FLEX_ASSERT(live_lpn(ppn) == lpn);
   return PageInfo{.ppn = ppn,
                   .mode = block.mode,
-                  .write_time = pages_[ppn].write_time,
+                  .write_time = oob_[ppn].write_time,
                   .pe_cycles = block.erase_count,
                   .block_reads = block.read_count};
 }
@@ -130,8 +130,8 @@ void PageMappingFtl::invalidate(std::uint64_t lpn) {
   if (ppn == kInvalid) return;
   const std::uint32_t block_id = block_of(ppn);
   BlockMeta& block = blocks_[block_id];
-  FLEX_ASSERT(pages_[ppn].lpn == lpn);
-  pages_[ppn].lpn = kInvalid;
+  FLEX_ASSERT(live_lpn(ppn) == lpn);
+  valid_[ppn] = false;
   FLEX_ASSERT(block.valid_count > 0);
   const bool closed = !block.open && block.next_page > 0;
   if (closed) {
@@ -201,7 +201,7 @@ std::uint64_t PageMappingFtl::append(std::uint64_t lpn, PageMode mode,
       continue;  // re-drive the write on the fresh frontier
     }
     const std::uint64_t ppn = make_ppn(frontier, page_id);
-    pages_[ppn] = PageMeta{.lpn = lpn, .write_time = now};
+    valid_[ppn] = true;
     ++block.valid_count;
     map_[lpn] = ppn;
     // The OOB record lands in the same page program as the data — atomic
@@ -322,11 +322,11 @@ void PageMappingFtl::relocate_valid_pages(std::uint32_t block_id, SimTime now,
   BlockMeta& victim = blocks_[block_id];
   const std::uint64_t base = make_ppn(block_id, 0);
   for (std::uint32_t p = 0; p < victim.next_page; ++p) {
-    const std::uint64_t lpn = pages_[base + p].lpn;
+    const std::uint64_t lpn = live_lpn(base + p);
     if (lpn == kInvalid) continue;
     // Relocation reprograms the data into fresh cells, so its retention
     // clock restarts at `now`; only the logical identity is preserved.
-    pages_[base + p].lpn = kInvalid;
+    valid_[base + p] = false;
     --victim.valid_count;
     map_[lpn] = kInvalid;
     append(lpn, victim.mode, now, programs, /*relocation=*/true);
@@ -579,7 +579,7 @@ MountReport PageMappingFtl::Mount(const MountOptions& options) {
     block.read_count = 0;
     if (block.retired) ++retired_count_;
   }
-  for (PageMeta& page : pages_) page.lpn = kInvalid;
+  valid_.assign(valid_.size(), false);
 
   // OOB scan, last-epoch-wins. Programmed records form a prefix of every
   // block (a failed program retires the block before any further program
@@ -619,7 +619,7 @@ MountReport PageMappingFtl::Mount(const MountOptions& options) {
     map_[lpn] = ppn;
     version_[lpn] = oob.version;
     BlockMeta& block = blocks_[block_of(ppn)];
-    pages_[ppn] = PageMeta{.lpn = lpn, .write_time = oob.write_time};
+    valid_[ppn] = true;
     ++block.valid_count;
     ++report.mappings_recovered;
     if (oob.mode == PageMode::kReduced) report.reduced_lpns.push_back(lpn);
@@ -682,7 +682,7 @@ Status PageMappingFtl::check_consistency() const {
                   " maps past the write pointer of block " +
                   std::to_string(block_id));
     }
-    if (pages_[ppn].lpn != lpn) {
+    if (live_lpn(ppn) != lpn) {
       return fail("lpn " + std::to_string(lpn) +
                   " maps to a page that does not map back (ppn " +
                   std::to_string(ppn) + ")");
@@ -695,7 +695,7 @@ Status PageMappingFtl::check_consistency() const {
     if (block.retired) ++retired_seen;
     std::uint32_t valid_seen = 0;
     for (std::uint32_t p = 0; p < config_.spec.pages_per_block; ++p) {
-      const std::uint64_t lpn = pages_[make_ppn(id, p)].lpn;
+      const std::uint64_t lpn = live_lpn(make_ppn(id, p));
       if (lpn == kInvalid) continue;
       ++valid_seen;
       ++mapped_pages;
@@ -741,7 +741,7 @@ std::vector<std::uint64_t> PageMappingFtl::double_mapped_lpns() const {
     const BlockMeta& block = blocks_[id];
     if (block.retired) continue;
     for (std::uint32_t p = 0; p < block.next_page; ++p) {
-      const std::uint64_t lpn = pages_[make_ppn(id, p)].lpn;
+      const std::uint64_t lpn = live_lpn(make_ppn(id, p));
       if (lpn == kInvalid) continue;
       FLEX_ASSERT(lpn < logical_pages_);
       if (++claims[lpn] == 2) doubled.push_back(lpn);

@@ -314,8 +314,19 @@ class PageMappingFtl {
     return version_[lpn];
   }
 
-  /// Global program ordinal (the epoch the next program will exceed).
-  std::uint64_t write_epoch() const { return epoch_; }
+  /// Cache hints for a caller that knows its next writes early (prefill):
+  /// `lpn`'s L2P and version entries, then, once those have arrived, its
+  /// mapped page's OOB record and block. Neither touches state.
+  void prefetch(std::uint64_t lpn) const {
+    __builtin_prefetch(&map_[lpn]);
+    __builtin_prefetch(&version_[lpn]);
+  }
+  void prefetch_mapped(std::uint64_t lpn) const {
+    const std::uint64_t ppn = map_[lpn];
+    if (ppn == kInvalid) return;
+    __builtin_prefetch(&oob_[ppn]);
+    __builtin_prefetch(&blocks_[block_of(ppn)]);
+  }
 
   /// Retired block ids, ascending (the bad-block ledger).
   std::vector<std::uint32_t> retired_block_ids() const;
@@ -328,10 +339,10 @@ class PageMappingFtl {
   std::uint32_t reduced_blocks() const;
 
  private:
-  // Per-page metadata lives in one global ppn-indexed flat array (pages_)
-  // rather than per-block vectors: the write and invalidate hot paths
-  // touch exactly one cache line per page instead of chasing
-  // block -> pages-vector -> element.
+  // Per-page state is the ppn-indexed OOB record (oob_) plus one valid bit
+  // per ppn (valid_): a page holds `lpn`'s live copy iff its bit is set and
+  // oob_[ppn].lpn == lpn. Flat arrays, so the hot paths touch one OOB line
+  // per page instead of chasing block -> pages-vector -> element.
   struct BlockMeta {
     PageMode mode = PageMode::kNormal;
     bool open = false;             ///< is a write frontier
@@ -422,7 +433,7 @@ class PageMappingFtl {
                               std::uint64_t* programs);
   /// Marks an already-empty block retired (erase-fail / grown-defect tail).
   void mark_retired(std::uint32_t block_id);
-  /// Resets the block's slice of pages_ to invalid (erase/retire tail).
+  /// Clears the block's valid bits (erase/retire tail).
   void clear_block_pages(std::uint32_t block_id);
   /// Appends to the frontier of `mode`; assumes space exists.
   /// `relocation` marks programs that move an existing generation (GC,
@@ -440,19 +451,19 @@ class PageMappingFtl {
   void candidate_insert(std::uint32_t block_id);
   void candidate_remove(std::uint32_t block_id, std::uint32_t old_valid);
 
-  /// Per-page metadata, one 16-byte record per ppn so a lookup touches a
-  /// single cache line. `lpn == kInvalid` means the page holds no valid
-  /// data and `write_time` is garbage.
-  struct PageMeta {
-    std::uint64_t lpn = kInvalid;
-    SimTime write_time = 0;
-  };
+  /// The lpn whose live copy sits at `ppn`; kInvalid for a stale or
+  /// unprogrammed page.
+  std::uint64_t live_lpn(std::uint64_t ppn) const {
+    return valid_[ppn] ? oob_[ppn].lpn : kInvalid;
+  }
 
   FtlConfig config_;
   std::uint64_t logical_pages_;
   std::vector<BlockMeta> blocks_;
   std::vector<std::uint64_t> map_;   // lpn -> ppn (kInvalid when unmapped)
-  std::vector<PageMeta> pages_;      // by ppn (flat across all blocks)
+  /// One bit per ppn: set while the page holds its lpn's live copy.
+  /// Volatile (Mount() rebuilds it from the winning OOB records).
+  std::vector<bool> valid_;
   /// log2(pages_per_block) when it is a power of two (the common
   /// geometry), else kNoShift: block_of()/make_ppn() then fall back to
   /// divide/multiply. Purely a strength reduction — same results.

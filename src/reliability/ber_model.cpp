@@ -117,6 +117,7 @@ double BerModel::retention_ber(int pe_cycles, Hours age,
   const double x0_mean = level_config_.erased_mean();
   const double x0_sigma = level_config_.erased_sigma();
   constexpr int kIsppPoints = 16;
+  const RetentionModel::Wear wear = retention_.wear(pe_cycles, age);
 
   double ber = 0.0;
   for (int l = 1; l < levels; ++l) {
@@ -132,7 +133,7 @@ double BerModel::retention_ber(int pe_cycles, Hours age,
         const Volt x0 =
             x0_mean + std::numbers::sqrt2 * x0_sigma * kGhNodes[g];
         p_x0 += kGhWeights[g] *
-                retention_.loss_exceeds(margin, x, x0, pe_cycles, age);
+                retention_.loss_exceeds(margin, x, x0, wear);
       }
       p_drop += p_x0 / std::sqrt(std::numbers::pi);
     }
@@ -150,6 +151,7 @@ double BerModel::mean_retention_loss(int pe_cycles, Hours age) const {
   const double x0_mean = level_config_.erased_mean();
   const double x0_sigma = level_config_.erased_sigma();
   constexpr int kIsppPoints = 16;
+  const RetentionModel::Wear wear = retention_.wear(pe_cycles, age);
 
   // Same ISPP x Gauss-Hermite quadrature as retention_ber, but over the
   // Eq. 3 loss *mean* instead of the margin-exceedance tail, weighted by
@@ -166,7 +168,7 @@ double BerModel::mean_retention_loss(int pe_cycles, Hours age) const {
       for (int g = 0; g < 8; ++g) {
         const Volt x0 =
             x0_mean + std::numbers::sqrt2 * x0_sigma * kGhNodes[g];
-        mu_x0 += kGhWeights[g] * retention_.mu(x, x0, pe_cycles, age);
+        mu_x0 += kGhWeights[g] * retention_.mu(x, x0, wear);
       }
       level_loss += mu_x0 / std::sqrt(std::numbers::pi);
     }

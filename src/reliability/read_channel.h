@@ -150,10 +150,11 @@ class ReadChannel {
   /// Per-mode disturb models (normal, reduced); null when disabled.
   std::unique_ptr<ReadDisturbModel> disturb_[2];
   SensingRequirement ladder_;
-  // (pe, age-bucket) -> wear/age raw BER; one map per cell mode. Bounded:
-  // at kBerCacheMaxEntries the whole map is flushed (a deterministic
-  // eviction policy — the cached value is a pure function of the key, so a
-  // flush can only cost recomputation, never change a result).
+  // (pe, age-bucket) -> raw BER at the *first* age seen in the bucket since
+  // the last flush; one map per cell mode, cleared whole at
+  // kBerCacheMaxEntries. Deterministic for a given access order, but not a
+  // pure function of the key: a flush, or sharing across drives, can
+  // change later values.
   static constexpr std::size_t kBerCacheMaxEntries = 1u << 15;
   FlatHashMap<double> ber_cache_[2];
   /// Per-block threshold-tracking state: the block read count whose drift

@@ -22,21 +22,23 @@ double RetentionModel::stress(Volt x, Volt x0) const {
   return params_.ks * std::max(x - x0, 0.0);
 }
 
-double RetentionModel::mu(Volt x, Volt x0, int pe_cycles, Hours t) const {
+RetentionModel::Wear RetentionModel::wear(int pe_cycles, Hours t) const {
   FLEX_EXPECTS(pe_cycles >= 0);
   FLEX_EXPECTS(t >= 0.0);
-  const double time_factor = std::log1p(t / params_.t0);
-  return params_.mu_scale * stress(x, x0) * params_.kd *
-         std::pow(static_cast<double>(pe_cycles), 0.4) * time_factor;
+  const auto pe = static_cast<double>(pe_cycles);
+  return {.pe_mu = std::pow(pe, 0.4),
+          .pe_sigma = std::pow(pe, 0.5),
+          .time = std::log1p(t / params_.t0)};
 }
 
-double RetentionModel::sigma(Volt x, Volt x0, int pe_cycles, Hours t) const {
-  FLEX_EXPECTS(pe_cycles >= 0);
-  FLEX_EXPECTS(t >= 0.0);
-  const double time_factor = std::log1p(t / params_.t0);
-  const double variance = stress(x, x0) * params_.km *
-                          std::pow(static_cast<double>(pe_cycles), 0.5) *
-                          time_factor;
+double RetentionModel::mu(Volt x, Volt x0, const Wear& wear) const {
+  return params_.mu_scale * stress(x, x0) * params_.kd * wear.pe_mu *
+         wear.time;
+}
+
+double RetentionModel::sigma(Volt x, Volt x0, const Wear& wear) const {
+  const double variance =
+      stress(x, x0) * params_.km * wear.pe_sigma * wear.time;
   return params_.sigma_scale * std::sqrt(std::max(variance, 0.0));
 }
 
@@ -50,10 +52,10 @@ double RetentionModel::sample_loss(Volt x, Volt x0, int pe_cycles, Hours t,
 }
 
 double RetentionModel::loss_exceeds(Volt margin, Volt x, Volt x0,
-                                    int pe_cycles, Hours t) const {
-  const double s = sigma(x, x0, pe_cycles, t);
-  if (s <= 0.0) return margin < mu(x, x0, pe_cycles, t) ? 1.0 : 0.0;
-  return q_function((margin - mu(x, x0, pe_cycles, t)) / s);
+                                    const Wear& wear) const {
+  const double s = sigma(x, x0, wear);
+  if (s <= 0.0) return margin < mu(x, x0, wear) ? 1.0 : 0.0;
+  return q_function((margin - mu(x, x0, wear)) / s);
 }
 
 }  // namespace flex::reliability

@@ -38,11 +38,27 @@ class RetentionModel {
   RetentionModel() : RetentionModel(Params{}) {}
   explicit RetentionModel(Params params);
 
+  /// The (P/E, age) factors of Eq. 3, computed once per quadrature rather
+  /// than per (x, x0) node. The Wear overloads are bit-identical to the
+  /// (pe_cycles, t) forms: same operands, same multiply order.
+  struct Wear {
+    double pe_mu = 0.0;     ///< N^0.4
+    double pe_sigma = 0.0;  ///< N^0.5
+    double time = 0.0;      ///< ln(1 + t/t0)
+  };
+  Wear wear(int pe_cycles, Hours t) const;
+
   /// Mean V_th loss for programmed level x (erased reference x0) after
   /// `pe_cycles` P/E cycles and `t` hours of storage.
-  double mu(Volt x, Volt x0, int pe_cycles, Hours t) const;
+  double mu(Volt x, Volt x0, int pe_cycles, Hours t) const {
+    return mu(x, x0, wear(pe_cycles, t));
+  }
+  double mu(Volt x, Volt x0, const Wear& wear) const;
   /// Standard deviation of the loss.
-  double sigma(Volt x, Volt x0, int pe_cycles, Hours t) const;
+  double sigma(Volt x, Volt x0, int pe_cycles, Hours t) const {
+    return sigma(x, x0, wear(pe_cycles, t));
+  }
+  double sigma(Volt x, Volt x0, const Wear& wear) const;
 
   /// Draws the (non-negative) V_th loss for one cell; callers subtract it.
   double sample_loss(Volt x, Volt x0, int pe_cycles, Hours t,
@@ -51,7 +67,10 @@ class RetentionModel {
   /// Probability that the loss exceeds `margin` (analytic Gaussian tail) —
   /// used for fast per-level error estimates and cross-checks.
   double loss_exceeds(Volt margin, Volt x, Volt x0, int pe_cycles,
-                      Hours t) const;
+                      Hours t) const {
+    return loss_exceeds(margin, x, x0, wear(pe_cycles, t));
+  }
+  double loss_exceeds(Volt margin, Volt x, Volt x0, const Wear& wear) const;
 
   const Params& params() const { return params_; }
 

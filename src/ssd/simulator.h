@@ -353,6 +353,9 @@ struct SsdResults {
   /// never in stdout, so the byte-identical --jobs contract only covers
   /// deterministic fields.
   double wall_seconds = 0;
+  /// The part of wall_seconds spent before the measured window (trace
+  /// generation, build, prefill, warmup); same contract as wall_seconds.
+  double setup_seconds = 0;
 };
 
 class SsdSimulator : private QosSink {

@@ -1,5 +1,6 @@
 #include "reliability/retention.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -119,6 +120,45 @@ TEST(RetentionTest, ScalesApply) {
               2.0 * plain.mu(3.7, 1.1, 5000, 100.0), 1e-12);
   EXPECT_NEAR(scaled.sigma(3.7, 1.1, 5000, 100.0),
               3.0 * plain.sigma(3.7, 1.1, 5000, 100.0), 1e-12);
+}
+
+TEST(RetentionTest, WearOverloadsMatchPerCallFormExactly) {
+  // The BER integral computes the (P/E, age) factors once per evaluation
+  // and reuses them at every quadrature node; that is only sound if the
+  // Wear overloads are bit-identical to the per-call forms, so compare
+  // with EXPECT_EQ, and against Eq. 3 spelled out in its multiply order
+  // (a reordered product rounds differently).
+  const RetentionModel model;
+  const RetentionModel::Params& p = model.params();
+  for (const int pe : {1, 2000, 6000, 6037}) {
+    for (const Hours t : {0.5, kDay, kWeek, kMonth}) {
+      const RetentionModel::Wear wear = model.wear(pe, t);
+      EXPECT_NEAR(wear.pe_mu, std::pow(static_cast<double>(pe), 0.4),
+                  1e-12 * wear.pe_mu);
+      EXPECT_NEAR(wear.pe_sigma, std::pow(static_cast<double>(pe), 0.5),
+                  1e-12 * wear.pe_sigma);
+      EXPECT_NEAR(wear.time, std::log1p(t / p.t0), 1e-12 * wear.time);
+      for (const Volt x : {0.9, 2.35, 3.7}) {
+        for (const Volt x0 : {-1.2, 1.1}) {
+          SCOPED_TRACE(testing::Message() << "pe=" << pe << " t=" << t
+                                          << " x=" << x << " x0=" << x0);
+          const double stress = p.ks * std::max(x - x0, 0.0);
+          const double mu = model.mu(x, x0, wear);
+          const double sigma = model.sigma(x, x0, wear);
+          EXPECT_EQ(mu, model.mu(x, x0, pe, t));
+          EXPECT_EQ(mu, p.mu_scale * stress * p.kd * wear.pe_mu * wear.time);
+          EXPECT_EQ(sigma, model.sigma(x, x0, pe, t));
+          EXPECT_EQ(sigma, p.sigma_scale * std::sqrt(stress * p.km *
+                                                     wear.pe_sigma *
+                                                     wear.time));
+          for (const Volt margin : {0.0, 0.3, 1.4}) {
+            EXPECT_EQ(model.loss_exceeds(margin, x, x0, wear),
+                      model.loss_exceeds(margin, x, x0, pe, t));
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 #include "ssd/simulator.h"
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc64.h"
 #include "common/rng.h"
 #include "flexlevel/nunma.h"
 #include "flexlevel/reduce_mapper.h"
@@ -190,6 +193,125 @@ TEST_F(SimulatorTest, NoUncorrectableReadsAtPaperOperatingPoint) {
   sim.prefill(4000);
   const auto results = sim.run(small_trace(0.8, 31));
   EXPECT_EQ(results.uncorrectable_reads, 0u);
+}
+
+TEST_F(SimulatorTest, PrefillStateIsPinned) {
+  // The drive state prefill() leaves behind, pinned bit for bit: the L2P
+  // table, the durability ledger and every FTL counter. Covers normal- and
+  // reduced-mode prefill, an integrity-on drive, and precondition counts
+  // of 0, 1, 5, and ones that are not a multiple of the overwrite loop's
+  // look-ahead distance.
+  constexpr std::uint64_t kFull = 4784;  // 80% of the logical space
+  struct Case {
+    Scheme scheme;
+    bool integrity;
+    double passes;
+    std::uint64_t pages;
+    std::uint64_t l2p_crc;
+    std::uint64_t durable_crc;
+    ftl::FtlStats stats;
+  };
+  const Case cases[] = {
+      {Scheme::kLdpcInSsd, false, 0.0, 0, 0xeb59f69f996367d0ULL,
+       0x695b206839d2d624ULL,
+       {}},
+      {Scheme::kLdpcInSsd, false, 0.0, 5, 0x8d4ffe57aa325507ULL,
+       0x513f27ac013684daULL,
+       {.host_writes = 5, .nand_writes = 5}},
+      {Scheme::kLdpcInSsd, false, 0.0, kFull, 0xe9a6b31e0c997ca1ULL,
+       0x22346ac7f19ce0b1ULL,
+       {.host_writes = 4784, .nand_writes = 4784}},
+      {Scheme::kLdpcInSsd, false, 0.37, 0, 0xeb59f69f996367d0ULL,
+       0x695b206839d2d624ULL,
+       {}},
+      {Scheme::kLdpcInSsd, false, 0.37, 5, 0xcaef7aa9df9dabffULL,
+       0x6c5f5bf9d253d172ULL,
+       {.host_writes = 6, .nand_writes = 6}},
+      {Scheme::kLdpcInSsd, false, 0.37, kFull, 0xd60ca62759aae05eULL,
+       0xcd414354390a5f20ULL,
+       {.host_writes = 6554, .nand_writes = 6554}},
+      {Scheme::kLdpcInSsd, false, 1.0, 0, 0xeb59f69f996367d0ULL,
+       0x695b206839d2d624ULL,
+       {}},
+      {Scheme::kLdpcInSsd, false, 1.0, 5, 0xffc2c4375bc59d5dULL,
+       0x827b9c67b1c26cc0ULL,
+       {.host_writes = 10, .nand_writes = 10}},
+      {Scheme::kLdpcInSsd, false, 1.0, kFull, 0x590ff23270154769ULL,
+       0xcfef10b359cf814dULL,
+       {.host_writes = 9568, .nand_writes = 10360, .nand_erases = 72, .gc_runs = 72, .gc_page_moves = 792}},
+      {Scheme::kLevelAdjustOnly, false, 0.0, 0, 0xeb59f69f996367d0ULL,
+       0x695b206839d2d624ULL,
+       {}},
+      {Scheme::kLevelAdjustOnly, false, 0.0, 5, 0x8d4ffe57aa325507ULL,
+       0x513f27ac013684daULL,
+       {.host_writes = 5, .nand_writes = 5}},
+      {Scheme::kLevelAdjustOnly, false, 0.0, kFull, 0x5b1c61a1e0f827b8ULL,
+       0x22346ac7f19ce0b1ULL,
+       {.host_writes = 4784, .nand_writes = 4784}},
+      {Scheme::kLevelAdjustOnly, false, 0.37, 0, 0xeb59f69f996367d0ULL,
+       0x695b206839d2d624ULL,
+       {}},
+      {Scheme::kLevelAdjustOnly, false, 0.37, 5, 0xcaef7aa9df9dabffULL,
+       0x6c5f5bf9d253d172ULL,
+       {.host_writes = 6, .nand_writes = 6}},
+      {Scheme::kLevelAdjustOnly, false, 0.37, kFull, 0xd96b79f6ac1db65cULL,
+       0xcd414354390a5f20ULL,
+       {.host_writes = 6554, .nand_writes = 7341, .nand_erases = 54, .gc_runs = 54, .gc_page_moves = 787}},
+      {Scheme::kLevelAdjustOnly, false, 1.0, 0, 0xeb59f69f996367d0ULL,
+       0x695b206839d2d624ULL,
+       {}},
+      {Scheme::kLevelAdjustOnly, false, 1.0, 5, 0xffc2c4375bc59d5dULL,
+       0x827b9c67b1c26cc0ULL,
+       {.host_writes = 10, .nand_writes = 10}},
+      {Scheme::kLevelAdjustOnly, false, 1.0, kFull, 0x42c5a37d06908d0cULL,
+       0xcfef10b359cf814dULL,
+       {.host_writes = 9568, .nand_writes = 14587, .nand_erases = 356, .gc_runs = 356, .gc_page_moves = 5019}},
+      {Scheme::kLdpcInSsd, true, 0.0, 0, 0xeb59f69f996367d0ULL,
+       0x695b206839d2d624ULL,
+       {}},
+      {Scheme::kLdpcInSsd, true, 0.0, 5, 0x8d4ffe57aa325507ULL,
+       0x513f27ac013684daULL,
+       {.host_writes = 5, .nand_writes = 5}},
+      {Scheme::kLdpcInSsd, true, 0.0, kFull, 0xe9a6b31e0c997ca1ULL,
+       0x22346ac7f19ce0b1ULL,
+       {.host_writes = 4784, .nand_writes = 4784}},
+      {Scheme::kLdpcInSsd, true, 0.37, 0, 0xeb59f69f996367d0ULL,
+       0x695b206839d2d624ULL,
+       {}},
+      {Scheme::kLdpcInSsd, true, 0.37, 5, 0xcaef7aa9df9dabffULL,
+       0x6c5f5bf9d253d172ULL,
+       {.host_writes = 6, .nand_writes = 6}},
+      {Scheme::kLdpcInSsd, true, 0.37, kFull, 0xd60ca62759aae05eULL,
+       0xcd414354390a5f20ULL,
+       {.host_writes = 6554, .nand_writes = 6554}},
+      {Scheme::kLdpcInSsd, true, 1.0, 0, 0xeb59f69f996367d0ULL,
+       0x695b206839d2d624ULL,
+       {}},
+      {Scheme::kLdpcInSsd, true, 1.0, 5, 0xffc2c4375bc59d5dULL,
+       0x827b9c67b1c26cc0ULL,
+       {.host_writes = 10, .nand_writes = 10}},
+      {Scheme::kLdpcInSsd, true, 1.0, kFull, 0x590ff23270154769ULL,
+       0xcfef10b359cf814dULL,
+       {.host_writes = 9568, .nand_writes = 10360, .nand_erases = 72, .gc_runs = 72, .gc_page_moves = 792}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << scheme_name(c.scheme) << " integrity=" << c.integrity
+                 << " passes=" << c.passes << " pages=" << c.pages);
+    SsdConfig cfg = small_config(c.scheme);
+    cfg.integrity.enabled = c.integrity;
+    cfg.precondition_passes = c.passes;
+    SsdSimulator sim(std::move(cfg), *normal_, *reduced_);
+    ASSERT_EQ(sim.ftl().logical_pages() * 4 / 5, kFull);
+    sim.prefill(c.pages);
+    const std::vector<std::uint64_t>& l2p = sim.ftl().l2p_dump();
+    const std::vector<std::uint64_t>& durable = sim.durable_versions();
+    EXPECT_EQ(crc64(l2p.data(), l2p.size() * sizeof(l2p[0])), c.l2p_crc);
+    EXPECT_EQ(crc64(durable.data(), durable.size() * sizeof(durable[0])),
+              c.durable_crc);
+    EXPECT_EQ(sim.ftl().stats(), c.stats);
+    EXPECT_TRUE(sim.ftl().check_consistency().ok());
+  }
 }
 
 }  // namespace
