@@ -15,9 +15,11 @@
 // spans of the primary table's measured window (Chrome trace-event
 // format); `--metrics-out m.jsonl` dumps its metrics snapshots. Both are
 // observation-only: stdout is byte-identical with or without them. A
-// machine-readable summary always lands in BENCH_fig6a.json
-// (`--bench-out` overrides the path).
+// machine-readable summary of both tables (56 rows, each tagged with its
+// age_model) always lands in BENCH_fig6a.json (`--bench-out` overrides the
+// path).
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -118,14 +120,16 @@ int main(int argc, char** argv) {
   // Telemetry (if requested) covers the primary, paper-setting table.
   const auto cells =
       make_cells(flex::ssd::AgeModel::kStaticPerLba, requests, outputs);
-  const auto results = flex::bench::run_cells(harness, cells, jobs);
+  auto results = flex::bench::run_cells(harness, cells, jobs);
   print_table(results);
 
   std::printf("=== Extension: same experiment with physically tracked "
               "per-page ages (rewritten data is fresh) ===\n\n");
   const auto physical_cells = make_cells(flex::ssd::AgeModel::kPhysical,
                                          requests, flex::bench::OutputOptions{});
-  print_table(flex::bench::run_cells(harness, physical_cells, jobs));
+  auto physical_results =
+      flex::bench::run_cells(harness, physical_cells, jobs);
+  print_table(physical_results);
 
   if (!outputs.trace_out.empty()) {
     flex::bench::write_trace_file(outputs.trace_out, cells, results);
@@ -133,8 +137,15 @@ int main(int argc, char** argv) {
   if (!outputs.metrics_out.empty()) {
     flex::bench::write_metrics_file(outputs.metrics_out, cells, results);
   }
+  // The summary carries both tables, each row tagged with its age_model.
+  auto all_cells = cells;
+  all_cells.insert(all_cells.end(), physical_cells.begin(),
+                   physical_cells.end());
+  results.insert(results.end(),
+                 std::make_move_iterator(physical_results.begin()),
+                 std::make_move_iterator(physical_results.end()));
   flex::bench::write_bench_json(
       outputs.bench_out.empty() ? "BENCH_fig6a.json" : outputs.bench_out,
-      "fig6a", requests, jobs, cells, results);
+      "fig6a", requests, jobs, all_cells, results);
   return 0;
 }

@@ -2,10 +2,12 @@
 // simulator: the perf-regression tripwire behind the CI `perf-smoke` job.
 //
 // Reports three numbers (stdout table + BENCH_micro_kernel.json):
-//   * events/sec — raw EventQueue schedule+fire throughput under the
-//     simulator's real scheduling mix: a monotone pre-scheduled arrival
-//     stream (FIFO lane) whose callbacks schedule out-of-order
-//     completions (heap lane), exactly like run_segment + chip service.
+//   * events/sec — raw EventQueue schedule+fire throughput of the record
+//     lanes: monotone pre-scheduled arrivals (FIFO lane) whose callbacks
+//     schedule out-of-order completions (heap lane). run_segment no
+//     longer replays traces this way — it streams arrivals from the
+//     request vector (EventQueue::stream_arrivals) — but the mix stays
+//     fixed so BENCH_micro_kernel.json remains a comparable reference.
 //   * allocations/event — operator new calls per fired event in the
 //     steady state (after one warmup round that grows the slab and lane
 //     arrays to their high-water mark). The kernel's memory contract says

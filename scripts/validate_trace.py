@@ -133,8 +133,12 @@ def validate_bench(path):
     cells = doc.get("cells")
     if not isinstance(cells, list) or not cells:
         fail(f"{path}: cells missing or empty")
+    seen = set()
     for cell in cells:
-        label = f"{cell['workload']}/{cell['scheme']}"
+        label = f"{cell['workload']}/{cell['scheme']}/{cell['age_model']}"
+        if label in seen:
+            fail(f"{path}: {label}: duplicate row")
+        seen.add(label)
         total = cell["read_total_s"]
         breakdown = sum(cell["breakdown_s"].values())
         if total > 0 and abs(breakdown / total - 1.0) > 1e-9:

@@ -540,11 +540,10 @@ void ArraySimulator::finalize(std::uint64_t slot) {
 }
 
 void ArraySimulator::run_segment(const std::vector<trace::Request>& requests) {
-  for (const auto& request : requests) {
-    kernel_.schedule(request.arrival, [this, &request](SimTime now) {
-      submit_request(request, now);
-    });
-  }
+  kernel_.stream_arrivals(requests,
+                          [this](const trace::Request& request, SimTime now) {
+                            submit_request(request, now);
+                          });
   kernel_.run_all();
   collect_results();
 }

@@ -194,6 +194,8 @@ class ArraySimulator : private QueuePairSet::Transport,
   const ssd::SsdSimulator& drive(std::uint32_t d) const {
     return *drives_[d];
   }
+  /// The shared event kernel every drive and queue pair runs on.
+  const ssd::EventQueue& kernel() const { return kernel_; }
 
   /// Host-level metrics/spans; drive-level internals are not attached (N
   /// drives would collide on one registry's counter names).

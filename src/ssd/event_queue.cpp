@@ -1,6 +1,7 @@
 #include "ssd/event_queue.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/assert.h"
 
@@ -44,6 +45,58 @@ void EventQueue::push_queued(std::uint32_t slot, SimTime when) {
   if (scheduled_metric_) ++scheduled_metric_->value;
 }
 
+void EventQueue::install_stream(const Stream& stream, std::size_t count) {
+  FLEX_EXPECTS(stream_next_ == stream_count_);  // one stream at a time
+  FLEX_EXPECTS(count < kNotQueued);
+  stream_ = stream;
+  stream_count_ = count;
+  stream_next_ = 0;
+  stream_base_ = next_seq_;
+  next_seq_ += count;
+  if (scheduled_metric_) scheduled_metric_->value += count;
+  const auto arrival = [this](std::size_t i) {
+    return stream_.arrival(stream_.items, i);
+  };
+  // Generated traces are sorted and stream in place. An unsorted one
+  // (read_csv keeps file order) fires in (arrival, index) order, which is
+  // a stable sort of its indices by arrival.
+  stream_order_.clear();
+  for (std::size_t i = 1; i < count; ++i) {
+    if (arrival(i) < arrival(i - 1)) {
+      stream_order_.resize(count);
+      std::iota(stream_order_.begin(), stream_order_.end(), 0u);
+      std::stable_sort(stream_order_.begin(), stream_order_.end(),
+                       [&](std::uint32_t a, std::uint32_t b) {
+                         return arrival(a) < arrival(b);
+                       });
+      break;
+    }
+  }
+  load_stream_head();
+}
+
+void EventQueue::load_stream_head() {
+  if (stream_next_ == stream_count_) return;
+  const std::size_t index =
+      stream_order_.empty() ? stream_next_ : stream_order_[stream_next_];
+  stream_head_ = HeapEntry{stream_.arrival(stream_.items, index),
+                           stream_base_ + index,
+                           static_cast<std::uint32_t>(index)};
+}
+
+void EventQueue::fire_stream_head() {
+  const HeapEntry top = stream_head_;
+  // Copy the callable out first: once the last element is consumed the
+  // callback may install the next stream over stream_.
+  const Stream stream = stream_;
+  ++stream_next_;
+  load_stream_head();
+  now_ = top.when;
+  ++fired_;
+  if (fired_metric_) ++fired_metric_->value;
+  stream.invoke(stream.storage, stream.items, top.slot, top.when);
+}
+
 bool EventQueue::cancel(EventId id) {
   if (id.slot >= slab_.size()) return false;
   Record& record = slab_[id.slot];
@@ -73,6 +126,12 @@ bool EventQueue::run_next() {
     // Lane fully consumed: recycle the storage, keep the capacity.
     fifo_.clear();
     fifo_head_ = 0;
+  }
+  if (stream_next_ < stream_count_ &&
+      (!have_fifo || before(stream_head_, fifo_[fifo_head_])) &&
+      (heap_.empty() || before(stream_head_, heap_[0]))) {
+    fire_stream_head();
+    return true;
   }
   if (!have_fifo && heap_.empty()) return false;
   HeapEntry top;
@@ -104,7 +163,9 @@ void EventQueue::run_all() {
 }
 
 std::size_t EventQueue::drop_pending() {
-  const std::size_t dropped = heap_.size() + fifo_live_;
+  const std::size_t dropped = pending();
+  stream_count_ = 0;
+  stream_next_ = 0;
   // Release in heap order, then FIFO order (deterministic), so the
   // post-crash free stack — and therefore slot reuse — replays identically
   // run-to-run.

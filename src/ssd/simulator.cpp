@@ -999,13 +999,12 @@ void SsdSimulator::run_segment(const std::vector<trace::Request>& requests) {
   // powered-off drive would silently vanish.
   FLEX_EXPECTS(!external_kernel_);
   if (crashed_) return;
-  // Arrival events dispatch through the deterministic kernel: equal-time
-  // arrivals keep trace order via the queue's sequence tie-breaking.
-  for (const auto& request : requests) {
-    events_.schedule(request.arrival, [this, &request](SimTime now) {
-      service_request(request, now);
-    });
-  }
+  // Arrivals stream from `requests` through the deterministic kernel:
+  // equal-time arrivals keep trace order via the queue's ordinals.
+  events_.stream_arrivals(requests,
+                          [this](const trace::Request& request, SimTime now) {
+                            service_request(request, now);
+                          });
   drain_events();
   collect_results();
 }

@@ -535,6 +535,8 @@ class SsdSimulator : private QosSink {
 
   const ftl::PageMappingFtl& ftl() const { return ftl_; }
   const ChipScheduler& scheduler() const { return scheduler_; }
+  /// The event kernel this drive runs on (its own or the external one).
+  const EventQueue& events() const { return events_; }
 
   /// Attaches a telemetry context to every layer (event kernel, chip
   /// scheduler, FTL, read policy, and the simulator's own counters);

@@ -1,5 +1,6 @@
 #include "host/array.h"
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -353,6 +354,84 @@ TEST_F(ArrayTest, ResetMeasurementsScopesTheWindow) {
                 results.drive[1].all_response.count(),
             results.all_response.count());
   EXPECT_GT(results.window, 0);
+}
+
+TEST_F(ArrayTest, UnsortedTraceRunsAsItsStableSort) {
+  // Equal arrivals fire in trace order, so an unsorted trace must replay
+  // exactly as its stable sort by arrival — through the queue pairs,
+  // links and both drives.
+  auto unsorted = small_trace(0.7, 29, /*footprint=*/8000);
+  const std::size_t n = unsorted.size();
+  for (std::size_t i = 1; i + 1 < n; ++i) {
+    if (i % 11 == 5) unsorted[i].arrival = unsorted[i - 1].arrival;
+    if (i % 7 == 3) std::swap(unsorted[i], unsorted[i + 1]);
+  }
+  std::swap(unsorted[10], unsorted[n - 10]);
+  std::swap(unsorted[n / 2], unsorted[n / 3]);
+  unsorted[50].arrival = unsorted[n / 4].arrival;
+  const auto by_arrival = [](const trace::Request& a,
+                             const trace::Request& b) {
+    return a.arrival < b.arrival;
+  };
+  ASSERT_FALSE(std::is_sorted(unsorted.begin(), unsorted.end(), by_arrival));
+  auto sorted = unsorted;
+  std::stable_sort(sorted.begin(), sorted.end(), by_arrival);
+
+  ArrayConfig cfg;
+  cfg.drive = small_drive(ssd::Scheme::kFlexLevel);
+  cfg.drives = 2;
+  cfg.stripe_pages = 16;
+  auto run = [&](const std::vector<trace::Request>& trace) {
+    auto array = build(cfg);
+    array->prefill(8000);
+    array->run_segment(trace);
+    return array->results();
+  };
+  const ArrayResults got = run(unsorted);
+  const ArrayResults expect = run(sorted);
+  expect_stats_identical(got.read_response, expect.read_response, "read");
+  expect_stats_identical(got.write_response, expect.write_response,
+                         "write");
+  expect_stats_identical(got.all_response, expect.all_response, "all");
+  EXPECT_TRUE(got.read_latency_hist == expect.read_latency_hist);
+  EXPECT_EQ(got.window, expect.window);
+  for (std::uint32_t d = 0; d < 2; ++d) {
+    SCOPED_TRACE(d);
+    expect_stats_identical(got.drive[d].all_response,
+                           expect.drive[d].all_response, "drive.all");
+    EXPECT_EQ(got.drive[d].read_breakdown, expect.drive[d].read_breakdown);
+    EXPECT_EQ(got.drive[d].ftl, expect.drive[d].ftl);
+    EXPECT_EQ(got.drive[d].chip_stats, expect.drive[d].chip_stats);
+    EXPECT_EQ(got.drive_link[d].transfers, expect.drive_link[d].transfers);
+  }
+}
+
+TEST_F(ArrayTest, KernelSlabDoesNotGrowWithTraceLength) {
+  // The array kernel streams arrivals too: with a read-only trace at a
+  // 1 ms pitch each request's host and chip work completes before the
+  // next arrival, so the slab high-water mark is independent of length.
+  auto slab_after = [&](std::uint64_t requests) {
+    trace::WorkloadParams params;
+    params.name = "tripwire";
+    params.read_fraction = 1.0;
+    params.footprint_pages = 4000;
+    params.mean_request_pages = 1.2;
+    params.max_request_pages = 4;
+    params.requests = requests;
+    auto trace = trace::generate(params, 41);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      trace[i].arrival = static_cast<SimTime>(i) * kMillisecond;
+    }
+    ArrayConfig cfg;
+    cfg.drive = small_drive(ssd::Scheme::kLdpcInSsd);
+    auto array = build(cfg);
+    array->prefill(4000);
+    array->run_segment(trace);
+    EXPECT_EQ(array->results().all_response.count(), requests);
+    return array->kernel().slab_slots();
+  };
+  const std::size_t short_trace = slab_after(10'000);
+  EXPECT_EQ(slab_after(100'000), short_trace);
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
+
+#include "telemetry/telemetry.h"
 
 namespace flex::ssd {
 namespace {
@@ -188,6 +191,148 @@ TEST(EventQueueTest, PendingCountsBothLanes) {
   EXPECT_EQ(queue.pending(), 3u);
   EXPECT_FALSE(queue.empty());
   queue.run_all();
+  EXPECT_TRUE(queue.empty());
+}
+
+// Kernel differential: one scripted mix run once through a schedule() call
+// per arrival and once through one arrival stream. Arrivals sit on a
+// 10 ns grid; each schedules a completion 20 ns later (landing exactly on
+// the arrival two slots ahead, so ties resolve by ordinal), every third
+// an event 5 ns later that must fire between two arrivals, every fifth a
+// dynamic event that the next arrival cancels, and the run is cut by a
+// drop_pending() partway through.
+struct Arrival {
+  SimTime arrival;
+  int label;
+};
+
+class DifferentialMix {
+ public:
+  using Firing = std::pair<SimTime, int>;
+
+  explicit DifferentialMix(bool use_stream) : use_stream_(use_stream) {
+    queue_.attach_telemetry(&telemetry_);
+  }
+
+  void run(const std::vector<Arrival>& arrivals, std::uint64_t drop_after) {
+    if (use_stream_) {
+      queue_.stream_arrivals(arrivals, [this](const Arrival& a, SimTime now) {
+        on_arrival(a, now);
+      });
+    } else {
+      for (const Arrival& a : arrivals) {
+        queue_.schedule(a.arrival, [this, &a](SimTime now) {
+          on_arrival(a, now);
+        });
+      }
+    }
+    while (queue_.fired() < drop_after && queue_.run_next()) {
+      pending_.push_back(queue_.pending());
+    }
+    dropped_ = queue_.drop_pending();
+    // Post-drop ordinals keep counting from where the stream left them.
+    for (int i = 0; i < 3; ++i) {
+      queue_.schedule(queue_.now() + 7, [this, i](SimTime now) {
+        log_.push_back({now, 5000 + i});
+      });
+    }
+    queue_.run_all();
+  }
+
+  const std::vector<Firing>& log() const { return log_; }
+  const std::vector<std::size_t>& pending() const { return pending_; }
+  std::size_t dropped() const { return dropped_; }
+  int cancels() const { return cancels_; }
+  const EventQueue& queue() const { return queue_; }
+  std::uint64_t counter(const char* name) {
+    return telemetry_.metrics.counter(name).value;
+  }
+
+ private:
+  void on_arrival(const Arrival& a, SimTime now) {
+    log_.push_back({now, a.label});
+    queue_.schedule(now + 20, [this, label = a.label](SimTime t) {
+      log_.push_back({t, 1000 + label});
+    });
+    if (a.label % 3 == 0) {  // behind the FIFO back: takes the heap lane
+      queue_.schedule(now + 5, [this, label = a.label](SimTime t) {
+        log_.push_back({t, 2000 + label});
+      });
+    }
+    if (a.label % 5 == 0) {
+      doomed_ = queue_.schedule(now + 15, [this](SimTime t) {
+        log_.push_back({t, -1});
+      });
+      have_doomed_ = true;
+    } else if (a.label % 5 == 1 && have_doomed_) {
+      const bool cancelled = queue_.cancel(doomed_);
+      cancels_ += cancelled ? 1 : 0;
+      log_.push_back({now, cancelled ? -2 : -3});
+      have_doomed_ = false;
+    }
+  }
+
+  bool use_stream_;
+  telemetry::Telemetry telemetry_;
+  EventQueue queue_;
+  EventQueue::EventId doomed_;
+  bool have_doomed_ = false;
+  int cancels_ = 0;
+  std::vector<Firing> log_;
+  std::vector<std::size_t> pending_;
+  std::size_t dropped_ = 0;
+};
+
+void expect_stream_matches_schedule(const std::vector<Arrival>& arrivals,
+                                    std::uint64_t drop_after) {
+  DifferentialMix scheduled(false);
+  DifferentialMix streamed(true);
+  scheduled.run(arrivals, drop_after);
+  streamed.run(arrivals, drop_after);
+  EXPECT_EQ(streamed.log(), scheduled.log());
+  EXPECT_EQ(streamed.pending(), scheduled.pending());
+  EXPECT_EQ(streamed.dropped(), scheduled.dropped());
+  EXPECT_GT(scheduled.dropped(), 0u);
+  EXPECT_GT(scheduled.cancels(), 0);
+  EXPECT_EQ(streamed.queue().fired(), scheduled.queue().fired());
+  EXPECT_EQ(streamed.queue().pending(), 0u);
+  EXPECT_EQ(streamed.queue().now(), scheduled.queue().now());
+  EXPECT_EQ(streamed.counter("event_queue.scheduled"),
+            scheduled.counter("event_queue.scheduled"));
+  EXPECT_EQ(streamed.counter("event_queue.fired"),
+            scheduled.counter("event_queue.fired"));
+  EXPECT_EQ(streamed.counter("event_queue.fired"), streamed.queue().fired());
+}
+
+TEST(EventQueueTest, StreamFiresExactlyAsPerArrivalSchedules) {
+  std::vector<Arrival> arrivals;
+  for (int i = 0; i < 40; ++i) arrivals.push_back({10 * (i / 2), i});
+  expect_stream_matches_schedule(arrivals, 50);
+}
+
+TEST(EventQueueTest, UnsortedStreamFiresAsItsStableSort) {
+  // Out-of-order and tied arrivals: schedule() fires them by (when,
+  // index), which the stream reproduces with a stable index sort.
+  std::vector<Arrival> arrivals;
+  for (int i = 0; i < 40; ++i) {
+    arrivals.push_back({10 * ((i * 7) % 13), i});
+  }
+  expect_stream_matches_schedule(arrivals, 45);
+}
+
+TEST(EventQueueTest, StreamDrainsWithoutTakingSlabRecords) {
+  EventQueue queue;
+  std::vector<Arrival> arrivals;
+  for (int i = 0; i < 1000; ++i) arrivals.push_back({i, i});
+  std::vector<int> labels;
+  queue.stream_arrivals(arrivals, [&labels](const Arrival& a, SimTime) {
+    labels.push_back(a.label);
+  });
+  EXPECT_EQ(queue.pending(), 1000u);
+  queue.run_all();
+  EXPECT_EQ(labels.size(), 1000u);
+  EXPECT_EQ(queue.fired(), 1000u);
+  EXPECT_EQ(queue.slab_slots(), 0u);
   EXPECT_TRUE(queue.empty());
 }
 

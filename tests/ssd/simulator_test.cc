@@ -1,5 +1,6 @@
 #include "ssd/simulator.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -84,6 +85,46 @@ class SimulatorTest : public ::testing::Test {
 
 reliability::BerModel* SimulatorTest::normal_ = nullptr;
 reliability::BerModel* SimulatorTest::reduced_ = nullptr;
+
+// Scrambles a sorted trace the way a hand-edited CSV might arrive: ties
+// with the predecessor, adjacent inversions, and a few long-range
+// inversions and far-apart ties. read_csv keeps file order, so the
+// simulator must accept this.
+std::vector<trace::Request> disorder(std::vector<trace::Request> trace) {
+  for (std::size_t i = 1; i + 1 < trace.size(); ++i) {
+    if (i % 11 == 5) trace[i].arrival = trace[i - 1].arrival;
+    if (i % 7 == 3) std::swap(trace[i], trace[i + 1]);
+  }
+  const std::size_t n = trace.size();
+  std::swap(trace[10], trace[n - 10]);
+  std::swap(trace[n / 2], trace[n / 3]);
+  trace[50].arrival = trace[n / 4].arrival;
+  return trace;
+}
+
+void expect_stats_identical(const RunningStats& a, const RunningStats& b,
+                            const char* what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.sum(), b.sum());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+}
+
+void expect_results_identical(const SsdResults& a, const SsdResults& b) {
+  expect_stats_identical(a.read_response, b.read_response, "read");
+  expect_stats_identical(a.write_response, b.write_response, "write");
+  expect_stats_identical(a.all_response, b.all_response, "all");
+  EXPECT_TRUE(a.read_latency_hist == b.read_latency_hist);
+  EXPECT_EQ(a.read_breakdown, b.read_breakdown);
+  EXPECT_EQ(a.ftl, b.ftl);
+  EXPECT_EQ(a.chip_stats, b.chip_stats);
+  EXPECT_EQ(a.sensing_level_reads, b.sensing_level_reads);
+  EXPECT_EQ(a.buffer_hits, b.buffer_hits);
+  EXPECT_EQ(a.migrations_to_reduced, b.migrations_to_reduced);
+  EXPECT_EQ(a.migrations_to_normal, b.migrations_to_normal);
+}
 
 TEST_F(SimulatorTest, RunsEverySchemeToCompletion) {
   for (const Scheme scheme : {Scheme::kBaseline, Scheme::kLdpcInSsd,
@@ -312,6 +353,55 @@ TEST_F(SimulatorTest, PrefillStateIsPinned) {
     EXPECT_EQ(sim.ftl().stats(), c.stats);
     EXPECT_TRUE(sim.ftl().check_consistency().ok());
   }
+}
+
+TEST_F(SimulatorTest, UnsortedTraceRunsAsItsStableSort) {
+  // Equal arrivals fire in trace order, so an unsorted trace must replay
+  // exactly as its stable sort by arrival.
+  const auto unsorted = disorder(small_trace(0.7, 37));
+  const auto by_arrival = [](const trace::Request& a,
+                             const trace::Request& b) {
+    return a.arrival < b.arrival;
+  };
+  ASSERT_FALSE(std::is_sorted(unsorted.begin(), unsorted.end(), by_arrival));
+  auto sorted = unsorted;
+  std::stable_sort(sorted.begin(), sorted.end(), by_arrival);
+
+  auto run = [&](const std::vector<trace::Request>& trace) {
+    SsdSimulator sim(small_config(Scheme::kFlexLevel), *normal_, *reduced_);
+    sim.prefill(4000);
+    return sim.run(trace);
+  };
+  expect_results_identical(run(unsorted), run(sorted));
+}
+
+TEST_F(SimulatorTest, KernelSlabDoesNotGrowWithTraceLength) {
+  // Trace arrivals stream from the caller's vector instead of occupying
+  // event records, so the slab only ever holds in-flight chip work. A
+  // read-only trace at a 1 ms pitch finishes each request's chip work
+  // before the next arrival: the high-water mark is one request's worth,
+  // however long the trace.
+  auto slab_after = [&](std::uint64_t requests) {
+    trace::WorkloadParams params;
+    params.name = "tripwire";
+    params.read_fraction = 1.0;
+    params.footprint_pages = 4000;
+    params.mean_request_pages = 1.2;
+    params.max_request_pages = 4;
+    params.requests = requests;
+    auto trace = trace::generate(params, 41);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      trace[i].arrival = static_cast<SimTime>(i) * kMillisecond;
+    }
+    SsdSimulator sim(small_config(Scheme::kLdpcInSsd), *normal_, *reduced_);
+    sim.prefill(4000);
+    sim.run_segment(trace);
+    EXPECT_EQ(sim.results().all_response.count(), requests);
+    return sim.events().slab_slots();
+  };
+  const std::size_t short_trace = slab_after(10'000);
+  EXPECT_EQ(slab_after(100'000), short_trace);
+  EXPECT_LE(short_trace, 4u);
 }
 
 }  // namespace
