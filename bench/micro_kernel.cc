@@ -2,17 +2,14 @@
 // simulator: the perf-regression tripwire behind the CI `perf-smoke` job.
 //
 // Reports three numbers (stdout table + BENCH_micro_kernel.json):
-//   * events/sec — raw EventQueue schedule+fire throughput of the record
-//     lanes: monotone pre-scheduled arrivals (FIFO lane) whose callbacks
-//     schedule out-of-order completions (heap lane). run_segment no
-//     longer replays traces this way — it streams arrivals from the
-//     request vector (EventQueue::stream_arrivals) — but the mix stays
-//     fixed so BENCH_micro_kernel.json remains a comparable reference.
+//   * events/sec — raw EventQueue throughput on run_segment's path:
+//     arrivals streamed from a request vector (stream_arrivals), each
+//     firing scheduling one completion 1.5 us out on the heap.
 //   * allocations/event — operator new calls per fired event in the
-//     steady state (after one warmup round that grows the slab and lane
-//     arrays to their high-water mark). The kernel's memory contract says
-//     this is 0.0: callbacks live inline in POD slab records and every
-//     container is recycled, never shrunk.
+//     steady state (after one warmup round that grows the slab and heap
+//     to their high-water mark). The kernel's memory contract says this
+//     is 0.0: callbacks live inline in POD slab records, a sorted stream
+//     is walked in place, and every container is recycled, never shrunk.
 //   * requests/sec — simulated requests per wall-second of the measured
 //     window of one fig6a cell (fin-2 / LevelAdjust+AccessEval @ P/E
 //     6000): FTL, scheduler, BER cache and telemetry-off read path. The
@@ -30,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "common/alloc_counter.h"
@@ -49,18 +47,23 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// One round of the simulator's scheduling mix: `arrivals` monotone
-/// events appended to the FIFO lane; each firing schedules a completion
-/// 1.5 us out — behind later pending arrivals, so it lands in the heap
-/// lane. Fires 2 * arrivals events total.
-void run_round(flex::ssd::EventQueue& queue, std::uint64_t arrivals) {
+/// One request of the streamed mix; stream_arrivals reads `arrival`.
+struct Arrival {
+  flex::SimTime arrival;
+};
+
+/// One round of the simulator's scheduling mix, as run_segment drives it:
+/// the arrivals, 1 us apart, stream from `arrivals`; each firing schedules
+/// a completion 1.5 us out on the heap. Fires 2 * arrivals.size() events.
+/// The vector is re-stamped in place, so a round allocates nothing.
+void run_round(flex::ssd::EventQueue& queue, std::vector<Arrival>& arrivals) {
   const flex::SimTime base = queue.now();
-  for (std::uint64_t i = 0; i < arrivals; ++i) {
-    queue.schedule(base + (i + 1) * 1000,
-                   [&queue](flex::SimTime now) {
-                     queue.schedule(now + 1500, [](flex::SimTime) {});
-                   });
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    arrivals[i].arrival = base + static_cast<flex::SimTime>(i + 1) * 1000;
   }
+  queue.stream_arrivals(arrivals, [&queue](const Arrival&, flex::SimTime now) {
+    queue.schedule(now + 1500, [](flex::SimTime) {});
+  });
   queue.run_all();
 }
 
@@ -71,10 +74,11 @@ struct KernelNumbers {
   std::size_t slab_slots = 0;
 };
 
-KernelNumbers bench_kernel(std::uint64_t arrivals, int rounds) {
+KernelNumbers bench_kernel(std::uint64_t count, int rounds) {
   namespace alloc = flex::common::alloc_counter;
   flex::ssd::EventQueue queue;
-  // Warmup: grows the slab, both lane arrays and the free stack to their
+  std::vector<Arrival> arrivals(count);
+  // Warmup: grows the slab, the heap and the free stack to their
   // high-water marks. Steady state starts here.
   run_round(queue, arrivals);
 
@@ -85,7 +89,7 @@ KernelNumbers bench_kernel(std::uint64_t arrivals, int rounds) {
   const std::uint64_t allocs = alloc::allocation_count() - allocs_before;
 
   KernelNumbers out;
-  out.events = 2 * arrivals * static_cast<std::uint64_t>(rounds);
+  out.events = 2 * count * static_cast<std::uint64_t>(rounds);
   out.events_per_sec = static_cast<double>(out.events) / elapsed;
   out.allocations_per_event =
       static_cast<double>(allocs) / static_cast<double>(out.events);

@@ -58,6 +58,8 @@ PageMappingFtl::PageMappingFtl(FtlConfig config)
   logical_pages_ = static_cast<std::uint64_t>(
       std::floor(static_cast<double>(config_.spec.total_pages()) *
                  (1.0 - config_.over_provisioning)));
+  // Every lpn must fit the durable records' 32-bit lpn field.
+  FLEX_EXPECTS(logical_pages_ <= kNoLpn);
   map_.assign(logical_pages_, kInvalid);
   gc_buckets_.resize(config_.spec.pages_per_block + 1);
   gc_bucket_pos_.assign(total_blocks, 0);
@@ -206,23 +208,24 @@ std::uint64_t PageMappingFtl::append(std::uint64_t lpn, PageMode mode,
     map_[lpn] = ppn;
     // The OOB record lands in the same page program as the data — atomic
     // with it, which is what makes last-epoch-wins recovery sound.
-    oob_[ppn] = OobRecord{.lpn = lpn,
+    FLEX_ASSERT(version_[lpn] <= std::numeric_limits<std::uint32_t>::max());
+    const auto lpn32 = static_cast<std::uint32_t>(lpn);
+    const auto version = static_cast<std::uint32_t>(version_[lpn]);
+    oob_[ppn] = OobRecord{.lpn = lpn32,
+                          .version = version,
                           .epoch = ++epoch_,
-                          .version = version_[lpn],
-                          .write_time = now,
-                          .mode = block.mode,
-                          .programmed = true};
+                          .reduced = block.mode == PageMode::kReduced,
+                          .write_time = now};
     if (config_.integrity) {
       // Seal the payload (claim == truth on a healthy program), then let
       // the silent-data fault kinds break it. Identity: a page slot is
       // programmed once per erase generation, so (ppn, erase_count) is
       // unique — the same discipline as program_fails.
-      SealRecord seal{.seal_lpn = lpn,
-                      .seal_version = version_[lpn],
-                      .seal_crc = payload_.crc(lpn, version_[lpn]),
-                      .payload_lpn = lpn,
-                      .payload_version = version_[lpn],
-                      .sealed = true};
+      SealRecord seal{.seal_lpn = lpn32,
+                      .seal_version = version,
+                      .seal_crc = payload_.crc(lpn, version),
+                      .payload_lpn = lpn32,
+                      .payload_version = version};
       if (injector_ != nullptr &&
           injector_->misdirected_write(ppn, block.erase_count)) {
         // Data and seal went to some other page; this slot reports
@@ -230,11 +233,11 @@ std::uint64_t PageMappingFtl::append(std::uint64_t lpn, PageMode mode,
         seal = SealRecord{};
         ++stats_.misdirected_writes;
         if (telemetry_) ++metrics_.misdirected_writes->value;
-      } else if (relocation && version_[lpn] > 0 && injector_ != nullptr &&
+      } else if (relocation && version > 0 && injector_ != nullptr &&
                  injector_->torn_relocation(ppn, block.erase_count)) {
         // Relocation DMA raced a host overwrite: the previous generation's
         // bytes land under the fresh seal.
-        seal.payload_version = version_[lpn] - 1;
+        seal.payload_version = version - 1;
         ++stats_.torn_relocations;
         if (telemetry_) ++metrics_.torn_relocations->value;
       }
@@ -502,7 +505,7 @@ SealVerdict PageMappingFtl::verify_page(std::uint64_t lpn, std::uint64_t ppn,
   FLEX_ASSERT(map_[lpn] == ppn);
   const SealRecord& seal = seals_[ppn];
   SealVerdict verdict;
-  if (!seal.sealed) {
+  if (!seal.sealed()) {
     // Expected a sealed page, found none (misdirected write): whatever
     // bytes are here, they are not ours and carry no matching seal.
     verdict.flagged = true;
@@ -544,9 +547,9 @@ DataAudit PageMappingFtl::audit_data(std::uint64_t lpn,
   const SealRecord& seal = seals_[map_[lpn]];
   DataAudit audit;
   audit.seal_ok =
-      seal.sealed && seal.seal_lpn == lpn && seal.seal_version == version &&
+      seal.sealed() && seal.seal_lpn == lpn && seal.seal_version == version &&
       seal.seal_crc == payload_.crc(seal.payload_lpn, seal.payload_version);
-  audit.payload_ok = seal.sealed && seal.payload_lpn == lpn &&
+  audit.payload_ok = seal.sealed() && seal.payload_lpn == lpn &&
                      seal.payload_version == version;
   return audit;
 }
@@ -596,12 +599,12 @@ MountReport PageMappingFtl::Mount(const MountOptions& options) {
     const std::uint64_t base = make_ppn(id, 0);
     for (std::uint32_t p = 0; p < config_.spec.pages_per_block; ++p) {
       const OobRecord& oob = oob_[base + p];
-      if (!oob.programmed) break;
+      if (!oob.programmed()) break;
       ++report.pages_scanned;
       epoch_ = std::max(epoch_, oob.epoch);
       if (block.retired) continue;
       block.next_page = p + 1;
-      block.mode = oob.mode;
+      block.mode = oob.mode();
       FLEX_ASSERT(oob.lpn < logical_pages_);
       if (oob.epoch > win_epoch[oob.lpn]) {
         win_epoch[oob.lpn] = oob.epoch;
@@ -622,7 +625,7 @@ MountReport PageMappingFtl::Mount(const MountOptions& options) {
     valid_[ppn] = true;
     ++block.valid_count;
     ++report.mappings_recovered;
-    if (oob.mode == PageMode::kReduced) report.reduced_lpns.push_back(lpn);
+    if (oob.reduced) report.reduced_lpns.push_back(lpn);
   }
   report.stale_records = live_records - report.mappings_recovered;
 

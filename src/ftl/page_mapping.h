@@ -356,15 +356,23 @@ class PageMappingFtl {
   /// The durable per-page spare area, programmed atomically with the data
   /// (real NAND writes data + OOB in one page program). Survives power
   /// loss; only a successful erase clears it. Everything Mount() needs to
-  /// rebuild the L2P map is here.
+  /// rebuild the L2P map is here, packed into 24 bytes per page: the lpn
+  /// and version fit 32 bits (the constructor and append() check), and
+  /// the storage mode rides the epoch word's top bit.
   struct OobRecord {
-    std::uint64_t lpn = kInvalid;
-    std::uint64_t epoch = 0;    ///< global program ordinal (1-based)
-    std::uint64_t version = 0;  ///< host-write generation of the lpn
+    std::uint32_t lpn = kNoLpn;
+    std::uint32_t version = 0;  ///< host-write generation of the lpn
+    /// Global program ordinal, 1-based, so 0 means never programmed.
+    std::uint64_t epoch : 63 = 0;
+    std::uint64_t reduced : 1 = 0;  ///< stored in reduced state
     SimTime write_time = 0;
-    PageMode mode = PageMode::kNormal;
-    bool programmed = false;
+
+    bool programmed() const { return epoch != 0; }
+    PageMode mode() const {
+      return reduced ? PageMode::kReduced : PageMode::kNormal;
+    }
   };
+  static_assert(sizeof(OobRecord) == 24);
 
   /// The durable per-page integrity record (integrity on), written in the
   /// same page program as the data and OOB record. The *claim* fields are
@@ -379,14 +387,18 @@ class PageMappingFtl {
   /// seal. The per-page OOB mapping record is deliberately untouched by
   /// both — controller metadata updates travel a separate journaled path,
   /// so mapping-integrity invariants stay intact while the data rots.
+  /// 32-bit lpns and versions, like OobRecord: 24 bytes per page.
   struct SealRecord {
-    std::uint64_t seal_lpn = kInvalid;     ///< claim: logical page
-    std::uint64_t seal_version = 0;        ///< claim: write generation
-    std::uint64_t seal_crc = 0;            ///< claim: CRC64 of that payload
-    std::uint64_t payload_lpn = kInvalid;  ///< truth: stored payload's lpn
-    std::uint64_t payload_version = 0;     ///< truth: stored generation
-    bool sealed = false;                   ///< a seal landed here at all
+    std::uint32_t seal_lpn = kNoLpn;     ///< claim: logical page
+    std::uint32_t seal_version = 0;      ///< claim: write generation
+    std::uint64_t seal_crc = 0;          ///< claim: CRC64 of that payload
+    std::uint32_t payload_lpn = kNoLpn;  ///< truth: stored payload's lpn
+    std::uint32_t payload_version = 0;   ///< truth: stored generation
+
+    /// A seal landed here at all: every seal claims a real lpn.
+    bool sealed() const { return seal_lpn != kNoLpn; }
   };
+  static_assert(sizeof(SealRecord) == 24);
 
   /// The durable per-block summary page, rewritten on erase / retirement
   /// (controllers keep erase counts and the bad-block table on the medium;
@@ -397,6 +409,9 @@ class PageMappingFtl {
   };
 
   static constexpr std::uint64_t kInvalid = ~0ULL;
+  /// The durable records' 32-bit "no lpn"; never a real lpn, since the
+  /// constructor caps logical_pages() at it.
+  static constexpr std::uint32_t kNoLpn = ~0U;
 
   std::uint32_t usable_pages(const BlockMeta& block) const;
   std::uint64_t make_ppn(std::uint32_t block, std::uint32_t page) const {

@@ -27,21 +27,8 @@ void EventQueue::release_slot(std::uint32_t slot) {
 }
 
 void EventQueue::push_queued(std::uint32_t slot, SimTime when) {
-  const std::uint64_t seq = next_seq_++;
-  // Monotone schedules (trace arrivals, end-of-trace completions) take the
-  // FIFO lane: seq is monotone, so `when >= back.when` keeps the lane
-  // sorted by (when, seq). Everything else goes through the heap.
-  if (fifo_.empty() || when >= fifo_.back().when) {
-    FLEX_ASSERT(fifo_.size() < kFifoTag);
-    fifo_.push_back(HeapEntry{when, seq, slot});
-    slab_[slot].heap_pos =
-        kFifoTag | static_cast<std::uint32_t>(fifo_.size() - 1);
-    ++fifo_live_;
-  } else {
-    heap_.push_back(HeapEntry{when, seq, slot});
-    slab_[slot].heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
-    sift_up(heap_.size() - 1);
-  }
+  heap_.push_back(HeapEntry{when, next_seq_++, slot});
+  sift_up(heap_.size() - 1);
   if (scheduled_metric_) ++scheduled_metric_->value;
 }
 
@@ -101,48 +88,20 @@ bool EventQueue::cancel(EventId id) {
   if (id.slot >= slab_.size()) return false;
   Record& record = slab_[id.slot];
   if (record.gen != id.gen || record.heap_pos == kNotQueued) return false;
-  if (record.heap_pos & kFifoTag) {
-    // FIFO entries tombstone in place (the lane must stay sorted);
-    // run_next() skips tombstones at the head.
-    HeapEntry& entry = fifo_[record.heap_pos & ~kFifoTag];
-    FLEX_ASSERT(entry.slot == id.slot);
-    entry.slot = kNotQueued;
-    --fifo_live_;
-  } else {
-    heap_remove(record.heap_pos);
-  }
+  heap_remove(record.heap_pos);
   release_slot(id.slot);
   return true;
 }
 
 bool EventQueue::run_next() {
-  // Tombstoned (cancelled) FIFO entries are dead; skip them so the head
-  // compare below always sees a live candidate.
-  while (fifo_head_ < fifo_.size() && fifo_[fifo_head_].slot == kNotQueued) {
-    ++fifo_head_;
-  }
-  const bool have_fifo = fifo_head_ < fifo_.size();
-  if (!have_fifo && fifo_head_ != 0) {
-    // Lane fully consumed: recycle the storage, keep the capacity.
-    fifo_.clear();
-    fifo_head_ = 0;
-  }
   if (stream_next_ < stream_count_ &&
-      (!have_fifo || before(stream_head_, fifo_[fifo_head_])) &&
       (heap_.empty() || before(stream_head_, heap_[0]))) {
     fire_stream_head();
     return true;
   }
-  if (!have_fifo && heap_.empty()) return false;
-  HeapEntry top;
-  if (have_fifo && (heap_.empty() || before(fifo_[fifo_head_], heap_[0]))) {
-    top = fifo_[fifo_head_];
-    ++fifo_head_;
-    --fifo_live_;
-  } else {
-    top = heap_[0];
-    heap_remove(0);
-  }
+  if (heap_.empty()) return false;
+  const HeapEntry top = heap_[0];
+  heap_remove(0);
   Record& record = slab_[top.slot];
   // Copy the callable out of the slab before releasing the slot: the
   // callback may re-enter schedule() and reuse this very record.
@@ -166,17 +125,10 @@ std::size_t EventQueue::drop_pending() {
   const std::size_t dropped = pending();
   stream_count_ = 0;
   stream_next_ = 0;
-  // Release in heap order, then FIFO order (deterministic), so the
-  // post-crash free stack — and therefore slot reuse — replays identically
-  // run-to-run.
+  // Release in heap order (deterministic), so the post-crash free stack
+  // — and therefore slot reuse — replays identically run-to-run.
   for (const HeapEntry& entry : heap_) release_slot(entry.slot);
   heap_.clear();
-  for (std::size_t i = fifo_head_; i < fifo_.size(); ++i) {
-    if (fifo_[i].slot != kNotQueued) release_slot(fifo_[i].slot);
-  }
-  fifo_.clear();
-  fifo_head_ = 0;
-  fifo_live_ = 0;
   return dropped;
 }
 

@@ -1,23 +1,20 @@
 // Deterministic discrete-event kernel for the SSD simulator.
 //
-// Three pending-event lanes:
+// Two pending-event lanes:
 //  * an arrival stream that reads a trace straight from the caller's
 //    request vector (stream_arrivals()): a trace of N requests costs no
 //    event records at all, just a cursor — the vector already holds every
 //    arrival, so copying each one into the kernel would only duplicate it;
-//  * a sorted FIFO lane of slab records for dynamic events scheduled in
-//    nondecreasing time order — just an append and a head cursor;
-//  * an indexed 4-ary min-heap of slab records for everything scheduled
-//    out of order (chip completions that land before already-queued
-//    ones). The slab and both record lanes only ever hold the in-flight
-//    dynamic events (tens), not the trace (hundreds of thousands).
-// An event is appended to the FIFO lane iff its (when, seq) key is >= the
-// lane's last entry (seq is monotone, so `when >= back.when` suffices);
-// run_next() fires the smallest of the three lane heads. Determinism is
-// load-bearing — identical seeds must give bit-identical results,
-// including when independent simulations run on different threads of the
-// bench harness — so the kernel holds no global state and draws no entropy
-// of its own.
+//  * an indexed 4-ary min-heap of slab records for every schedule()d
+//    event. Arrivals ride the stream, so the slab and the heap only ever
+//    hold the in-flight dynamic events (tens: chip completions, the
+//    open-loop engine's next arrival), not the trace (hundreds of
+//    thousands).
+// run_next() fires the smaller of the stream head and the heap top.
+// Determinism is load-bearing — identical seeds must give bit-identical
+// results, including when independent simulations run on different
+// threads of the bench harness — so the kernel holds no global state and
+// draws no entropy of its own.
 //
 // Ordering contract (the tie-break rule): every event carries a 64-bit
 // ordinal (`seq`) taken from a monotonically increasing counter that never
@@ -33,8 +30,9 @@
 //
 // Memory contract: callbacks are stored inline in the event record (no
 // std::function, no per-event heap allocation). The slab and heap grow to
-// the high-water mark of pending dynamic events and are reused thereafter,
-// so the steady state allocates nothing; a stream over a sorted trace
+// the high-water mark of *pending* dynamic events and are reused
+// thereafter, so the steady state allocates nothing — also in open-loop
+// runs, where some event is always pending; a stream over a sorted trace
 // allocates nothing either. Callables must be trivially copyable and at
 // most kInlineStorage bytes — in practice small capturing lambdas like
 // `[this, chip]`.
@@ -138,7 +136,7 @@ class EventQueue {
   /// Time of the most recently fired event.
   SimTime now() const { return now_; }
   std::size_t pending() const {
-    return heap_.size() + fifo_live_ + (stream_count_ - stream_next_);
+    return heap_.size() + (stream_count_ - stream_next_);
   }
   bool empty() const { return pending() == 0; }
   /// Total events fired since construction.
@@ -153,11 +151,8 @@ class EventQueue {
   void attach_telemetry(telemetry::Telemetry* telemetry);
 
  private:
-  /// Marks a slot as not currently pending in either lane.
+  /// Marks a slot as not currently in the heap.
   static constexpr std::uint32_t kNotQueued = 0xffffffffu;
-  /// Tag bit in Record::heap_pos: set = index into the FIFO lane, clear =
-  /// index into the heap lane.
-  static constexpr std::uint32_t kFifoTag = 0x80000000u;
 
   /// Slab record. POD by construction: the callable is a trivially
   /// copyable capture blob plus a type-erasing invoke thunk.
@@ -165,12 +160,12 @@ class EventQueue {
     void (*invoke)(const void* storage, SimTime now) = nullptr;
     alignas(std::max_align_t) unsigned char storage[kInlineStorage];
     std::uint32_t gen = 0;
-    /// Pending position: kNotQueued, heap index, or kFifoTag | fifo index.
+    /// Pending position: heap index, or kNotQueued.
     std::uint32_t heap_pos = kNotQueued;
   };
 
-  /// Lane entries carry the full (when, seq) sort key so compares stay
-  /// inside the contiguous lane arrays instead of chasing into the slab.
+  /// Heap entries carry the full (when, seq) sort key so compares stay
+  /// inside the contiguous heap array instead of chasing into the slab.
   struct HeapEntry {
     SimTime when;
     std::uint64_t seq;
@@ -206,13 +201,6 @@ class EventQueue {
   std::vector<Record> slab_;
   std::vector<std::uint32_t> free_slots_;  ///< LIFO recycle stack
   std::vector<HeapEntry> heap_;            ///< 4-ary min-heap on (when, seq)
-  /// Sorted FIFO lane: entries appended in nondecreasing (when, seq),
-  /// consumed from fifo_head_. Cancelled entries become tombstones
-  /// (slot == kNotQueued) and are skipped at the head. The vector is
-  /// recycled (cleared, not shrunk) once fully consumed.
-  std::vector<HeapEntry> fifo_;
-  std::size_t fifo_head_ = 0;
-  std::size_t fifo_live_ = 0;  ///< non-tombstone entries in fifo_
   /// Arrival stream: elements [stream_next_, stream_count_) of the firing
   /// order are pending. The firing order is the identity for a sorted
   /// vector, else stream_order_ (a stable sort of indices by arrival).

@@ -74,6 +74,10 @@ Status SsdConfig::Validate() const {
         "drive too small: chips * blocks_per_chip must exceed "
         "4 * ftl.gc_low_watermark");
   }
+  if (ftl.spec.total_pages() > std::numeric_limits<std::uint32_t>::max()) {
+    return Status::OutOfRange(
+        "drive too large: total pages must fit the FTL's 32-bit OOB lpn");
+  }
   if (write_buffer_pages < 1) {
     return Status::OutOfRange("write_buffer_pages must be >= 1");
   }

@@ -14,8 +14,8 @@ namespace {
 TEST(EventQueueTest, FiresInTimeOrder) {
   EventQueue queue;
   std::vector<int> order;
-  // 30 first, then 10, then 20: 10 and 20 are behind the lane back so
-  // they take the heap; the pop must still interleave by time.
+  // Scheduled out of time order (30, 10, 20); the heap must still pop
+  // them by time.
   queue.schedule(30, [&order](SimTime) { order.push_back(3); });
   queue.schedule(10, [&order](SimTime) { order.push_back(1); });
   queue.schedule(20, [&order](SimTime) { order.push_back(2); });
@@ -27,8 +27,7 @@ TEST(EventQueueTest, FiresInTimeOrder) {
 
 TEST(EventQueueTest, SameTimestampFiresInScheduleOrder) {
   // The ordinal tie-break contract: equal `when` resolves by scheduling
-  // order, across lanes. Events 0..3 are monotone (FIFO lane); event 4
-  // arrives after a later event exists, forcing it through the heap —
+  // order. Event 4 is scheduled after a later event (3) already exists;
   // its ordinal still slots it after event 2, before nothing earlier.
   EventQueue queue;
   std::vector<int> order;
@@ -36,7 +35,7 @@ TEST(EventQueueTest, SameTimestampFiresInScheduleOrder) {
   queue.schedule(5, [&order](SimTime) { order.push_back(1); });
   queue.schedule(5, [&order](SimTime) { order.push_back(2); });
   queue.schedule(9, [&order](SimTime) { order.push_back(3); });
-  queue.schedule(5, [&order](SimTime) { order.push_back(4); });  // heap lane
+  queue.schedule(5, [&order](SimTime) { order.push_back(4); });  // after 3
   queue.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 4, 3}));
 }
@@ -44,10 +43,10 @@ TEST(EventQueueTest, SameTimestampFiresInScheduleOrder) {
 TEST(EventQueueTest, MixedLaneInterleaving) {
   EventQueue queue;
   std::vector<SimTime> fired_at;
-  for (const SimTime when : {10, 20, 30, 40}) {  // FIFO lane
+  for (const SimTime when : {10, 20, 30, 40}) {  // in time order
     queue.schedule(when, [&fired_at](SimTime now) { fired_at.push_back(now); });
   }
-  for (const SimTime when : {15, 35, 5}) {  // heap lane (out of order)
+  for (const SimTime when : {15, 35, 5}) {  // out of order
     queue.schedule(when, [&fired_at](SimTime now) { fired_at.push_back(now); });
   }
   queue.run_all();
@@ -92,8 +91,8 @@ TEST(EventQueueTest, CancelHeapEvent) {
 }
 
 TEST(EventQueueTest, CancelFifoEventTombstones) {
-  // Cancelling inside the sorted lane must not disturb its order; the
-  // tombstone is skipped when it reaches the head.
+  // Cancelling an event in the middle of the pending set must not
+  // disturb the order of the others.
   EventQueue queue;
   std::vector<int> order;
   queue.schedule(10, [&order](SimTime) { order.push_back(1); });
@@ -159,7 +158,8 @@ TEST(EventQueueTest, DropPendingDiscardsBothLanes) {
   std::vector<int> order;
   queue.schedule(10, [&order](SimTime) { order.push_back(1); });
   EXPECT_TRUE(queue.run_next());
-  // Pending mix: two FIFO entries (one later cancelled), one heap entry.
+  // Pending mix: two in-order events (one later cancelled), one
+  // scheduled ahead of them.
   queue.schedule(20, [&order](SimTime) { order.push_back(2); });
   const EventQueue::EventId doomed =
       queue.schedule(30, [&order](SimTime) { order.push_back(3); });
@@ -186,8 +186,8 @@ TEST(EventQueueTest, PendingCountsBothLanes) {
   EventQueue queue;
   EXPECT_TRUE(queue.empty());
   queue.schedule(10, [](SimTime) {});
-  queue.schedule(20, [](SimTime) {});  // FIFO lane
-  queue.schedule(5, [](SimTime) {});   // heap lane
+  queue.schedule(20, [](SimTime) {});  // in time order
+  queue.schedule(5, [](SimTime) {});   // out of order
   EXPECT_EQ(queue.pending(), 3u);
   EXPECT_FALSE(queue.empty());
   queue.run_all();
@@ -254,7 +254,7 @@ class DifferentialMix {
     queue_.schedule(now + 20, [this, label = a.label](SimTime t) {
       log_.push_back({t, 1000 + label});
     });
-    if (a.label % 3 == 0) {  // behind the FIFO back: takes the heap lane
+    if (a.label % 3 == 0) {  // fires before the next arrival
       queue_.schedule(now + 5, [this, label = a.label](SimTime t) {
         log_.push_back({t, 2000 + label});
       });

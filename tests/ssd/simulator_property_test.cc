@@ -355,6 +355,28 @@ TEST_F(SimulatorProperty, BuilderValidatesBeforeConstruction) {
       SsdSimulator::Builder(*normal_, *reduced_).config(bad_rate).Build().ok());
 }
 
+TEST_F(SimulatorProperty, BuilderRejectsPageCountsPastThe32BitOobLpn) {
+  // The FTL's durable records hold 32-bit lpns; a geometry that cannot
+  // be addressed that way is a config error, never a construction abort.
+  auto huge = config(Scheme::kLdpcInSsd);
+  huge.ftl.spec.chips = 64;
+  huge.ftl.spec.blocks_per_chip = 1u << 20;
+  huge.ftl.spec.pages_per_block = 64;  // 2^32 pages: one too many
+  const auto rejected =
+      SsdSimulator::Builder(*normal_, *reduced_).config(huge).Build();
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(rejected.status().message().find("32-bit"), std::string::npos);
+
+  // 2^32 - 1 pages (255 x 65537 x 257) is the largest accepted geometry.
+  auto largest = huge;
+  largest.ftl.spec.chips = 255;
+  largest.ftl.spec.blocks_per_chip = 65537;
+  largest.ftl.spec.pages_per_block = 257;
+  ASSERT_EQ(largest.ftl.spec.total_pages(), 0xffffffffULL);
+  EXPECT_TRUE(largest.Validate().ok()) << largest.Validate().message();
+}
+
 TEST_F(SimulatorProperty, BuilderRunMatchesLegacyConstructor) {
   // The Builder is a validated front door to the same simulator: a built
   // instance driven through run_segment()/results() reproduces the legacy
