@@ -181,9 +181,9 @@ Row run_array(const ExperimentHarness& harness, const Variant& v,
   for (std::uint64_t i = 0; i < requests; ++i) {
     const std::uint64_t h = mix64(i ^ 0x1E67'D1C0ULL);
     trace.push_back({.arrival = static_cast<flex::SimTime>(i * kGap),
-                     .is_write = (h % 10) == 0,
                      .lpn = mix64(h) % footprint,
-                     .pages = 1});
+                     .pages = 1,
+                     .is_write = (h % 10) == 0});
   }
   array.run_segment(trace);
   Row row;
@@ -230,9 +230,9 @@ Row run_array(const ExperimentHarness& harness, const Variant& v,
                           static_cast<flex::SimTime>(
                               (hpn * 2 + static_cast<std::uint64_t>(copy)) *
                               kGap),
-               .is_write = false,
                .lpn = hpn,
-               .pages = 1});
+               .pages = 1,
+               .is_write = false});
         }
       }
       array.run_segment(scrub);

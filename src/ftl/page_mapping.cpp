@@ -37,6 +37,8 @@ PageMappingFtl::PageMappingFtl(FtlConfig config)
       static_cast<std::uint64_t>(config_.spec.chips) *
       config_.spec.blocks_per_chip;
   FLEX_EXPECTS(total_blocks > config_.gc_low_watermark * 4);
+  // Every ppn must fit LpnRecord's 32-bit ppn field, below its sentinel.
+  FLEX_EXPECTS(config_.spec.total_pages() <= kNoPpn);
   blocks_.resize(total_blocks);
   for (auto& block : blocks_) {
     block.erase_count = config_.initial_pe_cycles;
@@ -60,7 +62,7 @@ PageMappingFtl::PageMappingFtl(FtlConfig config)
                  (1.0 - config_.over_provisioning)));
   // Every lpn must fit the durable records' 32-bit lpn field.
   FLEX_EXPECTS(logical_pages_ <= kNoLpn);
-  map_.assign(logical_pages_, kInvalid);
+  l2p_.assign(logical_pages_, LpnRecord{});
   gc_buckets_.resize(config_.spec.pages_per_block + 1);
   gc_bucket_pos_.assign(total_blocks, 0);
   // The medium: factory-fresh OOB areas and summary pages carrying the
@@ -72,7 +74,6 @@ PageMappingFtl::PageMappingFtl(FtlConfig config)
     FLEX_EXPECTS(config_.integrity_payload_words >= 1);
     seals_.assign(config_.spec.total_pages(), SealRecord{});
   }
-  version_.assign(logical_pages_, 0);
 }
 
 void PageMappingFtl::clear_block_pages(std::uint32_t block_id) {
@@ -108,8 +109,8 @@ std::uint32_t PageMappingFtl::usable_pages(const BlockMeta& block) const {
 
 std::optional<PageInfo> PageMappingFtl::lookup(std::uint64_t lpn) const {
   FLEX_EXPECTS(lpn < logical_pages_);
-  const std::uint64_t ppn = map_[lpn];
-  if (ppn == kInvalid) return std::nullopt;
+  const std::uint32_t ppn = l2p_[lpn].ppn;
+  if (ppn == kNoPpn) return std::nullopt;
   const BlockMeta& block = blocks_[block_of(ppn)];
   FLEX_ASSERT(live_lpn(ppn) == lpn);
   return PageInfo{.ppn = ppn,
@@ -128,8 +129,8 @@ std::uint64_t PageMappingFtl::block_read_count(std::uint64_t ppn) const {
 }
 
 void PageMappingFtl::invalidate(std::uint64_t lpn) {
-  const std::uint64_t ppn = map_[lpn];
-  if (ppn == kInvalid) return;
+  const std::uint32_t ppn = l2p_[lpn].ppn;
+  if (ppn == kNoPpn) return;
   const std::uint32_t block_id = block_of(ppn);
   BlockMeta& block = blocks_[block_id];
   FLEX_ASSERT(live_lpn(ppn) == lpn);
@@ -151,7 +152,7 @@ void PageMappingFtl::invalidate(std::uint64_t lpn) {
     new_bucket.push_back(block_id);
   }
   --block.valid_count;
-  map_[lpn] = kInvalid;
+  l2p_[lpn].ppn = kNoPpn;
 }
 
 std::uint32_t PageMappingFtl::allocate_block(PageMode mode) {
@@ -205,12 +206,12 @@ std::uint64_t PageMappingFtl::append(std::uint64_t lpn, PageMode mode,
     const std::uint64_t ppn = make_ppn(frontier, page_id);
     valid_[ppn] = true;
     ++block.valid_count;
-    map_[lpn] = ppn;
+    LpnRecord& record = l2p_[lpn];
+    record.ppn = static_cast<std::uint32_t>(ppn);
     // The OOB record lands in the same page program as the data — atomic
     // with it, which is what makes last-epoch-wins recovery sound.
-    FLEX_ASSERT(version_[lpn] <= std::numeric_limits<std::uint32_t>::max());
     const auto lpn32 = static_cast<std::uint32_t>(lpn);
-    const auto version = static_cast<std::uint32_t>(version_[lpn]);
+    const std::uint32_t version = record.version;
     oob_[ppn] = OobRecord{.lpn = lpn32,
                           .version = version,
                           .epoch = ++epoch_,
@@ -324,6 +325,12 @@ void PageMappingFtl::relocate_valid_pages(std::uint32_t block_id, SimTime now,
                                           std::uint64_t* programs) {
   BlockMeta& victim = blocks_[block_id];
   const std::uint64_t base = make_ppn(block_id, 0);
+  // The live lpns are scattered over the L2P table: request all their
+  // records before the first move needs one.
+  for (std::uint32_t p = 0; p < victim.next_page; ++p) {
+    const std::uint64_t lpn = live_lpn(base + p);
+    if (lpn != kInvalid) __builtin_prefetch(&l2p_[lpn]);
+  }
   for (std::uint32_t p = 0; p < victim.next_page; ++p) {
     const std::uint64_t lpn = live_lpn(base + p);
     if (lpn == kInvalid) continue;
@@ -331,7 +338,7 @@ void PageMappingFtl::relocate_valid_pages(std::uint32_t block_id, SimTime now,
     // clock restarts at `now`; only the logical identity is preserved.
     valid_[base + p] = false;
     --victim.valid_count;
-    map_[lpn] = kInvalid;
+    l2p_[lpn].ppn = kNoPpn;
     append(lpn, victim.mode, now, programs, /*relocation=*/true);
     ++*page_moves;
   }
@@ -452,8 +459,10 @@ WriteResult PageMappingFtl::write(std::uint64_t lpn, PageMode mode,
   ++stats_.host_writes;
   if (telemetry_) ++metrics_.host_writes->value;
   // A host write is a new generation of the data; migrations and GC
-  // relocations move a generation without bumping it.
-  ++version_[lpn];
+  // relocations move a generation without bumping it. Generations must
+  // fit the 32-bit LpnRecord and OOB version fields.
+  FLEX_ASSERT(l2p_[lpn].version < std::numeric_limits<std::uint32_t>::max());
+  ++l2p_[lpn].version;
   invalidate(lpn);
   maybe_garbage_collect(now, &result.page_programs, &result.erases);
   result.ppn = append(lpn, mode, now, &result.page_programs);
@@ -464,7 +473,7 @@ WriteResult PageMappingFtl::write(std::uint64_t lpn, PageMode mode,
 WriteResult PageMappingFtl::migrate(std::uint64_t lpn, PageMode mode,
                                     SimTime now) {
   FLEX_EXPECTS(lpn < logical_pages_);
-  FLEX_EXPECTS(map_[lpn] != kInvalid);
+  FLEX_EXPECTS(l2p_[lpn].ppn != kNoPpn);
   WriteResult result;
   result.page_programs = 0;
   ++stats_.mode_migrations;
@@ -482,8 +491,8 @@ WriteResult PageMappingFtl::migrate(std::uint64_t lpn, PageMode mode,
 WriteResult PageMappingFtl::repair(std::uint64_t lpn, SimTime now) {
   FLEX_EXPECTS(config_.integrity);
   FLEX_EXPECTS(lpn < logical_pages_);
-  FLEX_EXPECTS(map_[lpn] != kInvalid);
-  const PageMode mode = blocks_[block_of(map_[lpn])].mode;
+  FLEX_EXPECTS(l2p_[lpn].ppn != kNoPpn);
+  const PageMode mode = blocks_[block_of(l2p_[lpn].ppn)].mode;
   WriteResult result;
   result.page_programs = 0;
   ++stats_.repair_writes;
@@ -502,7 +511,7 @@ WriteResult PageMappingFtl::repair(std::uint64_t lpn, SimTime now) {
 SealVerdict PageMappingFtl::verify_page(std::uint64_t lpn, std::uint64_t ppn,
                                         std::uint64_t block_reads) const {
   FLEX_EXPECTS(config_.integrity);
-  FLEX_ASSERT(map_[lpn] == ppn);
+  FLEX_ASSERT(l2p_[lpn].ppn == ppn);
   const SealRecord& seal = seals_[ppn];
   SealVerdict verdict;
   if (!seal.sealed()) {
@@ -513,7 +522,7 @@ SealVerdict PageMappingFtl::verify_page(std::uint64_t lpn, std::uint64_t ppn,
     verdict.delivered_bad = true;
     return verdict;
   }
-  const std::uint64_t expect_version = version_[lpn];
+  const std::uint64_t expect_version = l2p_[lpn].version;
   // The CRC of the bytes the read actually delivers: computed from the
   // stored payload's identity (the generator stands in for the page
   // body), XOR-perturbed when this read's transient post-ECC flip fires.
@@ -543,8 +552,8 @@ SealVerdict PageMappingFtl::verify_page(std::uint64_t lpn, std::uint64_t ppn,
 DataAudit PageMappingFtl::audit_data(std::uint64_t lpn,
                                      std::uint64_t version) const {
   FLEX_EXPECTS(config_.integrity);
-  FLEX_EXPECTS(lpn < logical_pages_ && map_[lpn] != kInvalid);
-  const SealRecord& seal = seals_[map_[lpn]];
+  FLEX_EXPECTS(lpn < logical_pages_ && l2p_[lpn].ppn != kNoPpn);
+  const SealRecord& seal = seals_[l2p_[lpn].ppn];
   DataAudit audit;
   audit.seal_ok =
       seal.sealed() && seal.seal_lpn == lpn && seal.seal_version == version &&
@@ -558,8 +567,7 @@ MountReport PageMappingFtl::Mount(const MountOptions& options) {
   MountReport report;
   // Power loss wiped the volatile structures; mounting a live FTL discards
   // them the same way, which is what makes Mount idempotent.
-  map_.assign(logical_pages_, kInvalid);
-  version_.assign(logical_pages_, 0);
+  l2p_.assign(logical_pages_, LpnRecord{});
   free_head_ = 0;
   free_count_ = 0;
   frontier_[0] = kNoBlock;
@@ -619,8 +627,8 @@ MountReport PageMappingFtl::Mount(const MountOptions& options) {
     const std::uint64_t ppn = win_ppn[lpn];
     if (ppn == kInvalid) continue;
     const OobRecord& oob = oob_[ppn];
-    map_[lpn] = ppn;
-    version_[lpn] = oob.version;
+    l2p_[lpn] = LpnRecord{.ppn = static_cast<std::uint32_t>(ppn),
+                          .version = oob.version};
     BlockMeta& block = blocks_[block_of(ppn)];
     valid_[ppn] = true;
     ++block.valid_count;
@@ -670,8 +678,8 @@ Status PageMappingFtl::check_consistency() const {
     return Status::Internal(std::move(message));
   };
   for (std::uint64_t lpn = 0; lpn < logical_pages_; ++lpn) {
-    const std::uint64_t ppn = map_[lpn];
-    if (ppn == kInvalid) continue;
+    const std::uint32_t ppn = l2p_[lpn].ppn;
+    if (ppn == kNoPpn) continue;
     const std::uint32_t block_id = block_of(ppn);
     const BlockMeta& block = blocks_[block_id];
     if (block.retired) {
@@ -702,7 +710,7 @@ Status PageMappingFtl::check_consistency() const {
       if (lpn == kInvalid) continue;
       ++valid_seen;
       ++mapped_pages;
-      if (lpn >= logical_pages_ || map_[lpn] != make_ppn(id, p)) {
+      if (lpn >= logical_pages_ || l2p_[lpn].ppn != make_ppn(id, p)) {
         return fail("valid page in block " + std::to_string(id) +
                     " is not the mapped copy of lpn " + std::to_string(lpn));
       }
@@ -726,7 +734,7 @@ Status PageMappingFtl::check_consistency() const {
   }
   std::uint64_t mapped_lpns = 0;
   for (std::uint64_t lpn = 0; lpn < logical_pages_; ++lpn) {
-    if (map_[lpn] != kInvalid) ++mapped_lpns;
+    if (l2p_[lpn].ppn != kNoPpn) ++mapped_lpns;
   }
   if (mapped_lpns != mapped_pages) {
     return fail("mapped lpn count disagrees with valid page count");
@@ -734,9 +742,17 @@ Status PageMappingFtl::check_consistency() const {
   return Status::Ok();
 }
 
+std::vector<std::uint64_t> PageMappingFtl::l2p_dump() const {
+  std::vector<std::uint64_t> dump(logical_pages_, kInvalidPpn);
+  for (std::uint64_t lpn = 0; lpn < logical_pages_; ++lpn) {
+    if (l2p_[lpn].ppn != kNoPpn) dump[lpn] = l2p_[lpn].ppn;
+  }
+  return dump;
+}
+
 std::vector<std::uint64_t> PageMappingFtl::double_mapped_lpns() const {
   // A double mapping is two valid physical copies claiming the same lpn —
-  // the map_ table cannot show it (one entry per lpn), so count claims
+  // the L2P table cannot show it (one entry per lpn), so count claims
   // from the physical side.
   std::vector<std::uint8_t> claims(logical_pages_, 0);
   std::vector<std::uint64_t> doubled;

@@ -301,9 +301,9 @@ class PageMappingFtl {
   /// invariant the crash harness checks after every mount).
   std::vector<std::uint64_t> double_mapped_lpns() const;
 
-  /// The raw L2P table (lpn -> ppn, kInvalidPpn when unmapped) for
-  /// byte-identity comparisons across mounts.
-  const std::vector<std::uint64_t>& l2p_dump() const { return map_; }
+  /// The raw L2P table (lpn -> ppn, kInvalidPpn when unmapped), widened
+  /// to 64 bits, for byte-identity comparisons across mounts.
+  std::vector<std::uint64_t> l2p_dump() const;
   static constexpr std::uint64_t kInvalidPpn = ~0ULL;
 
   /// Host-write generation of `lpn` (bumped per write(), preserved by
@@ -311,19 +311,16 @@ class PageMappingFtl {
   /// ledger compares this against the version it acknowledged as durable.
   std::uint64_t data_version(std::uint64_t lpn) const {
     FLEX_EXPECTS(lpn < logical_pages_);
-    return version_[lpn];
+    return l2p_[lpn].version;
   }
 
   /// Cache hints for a caller that knows its next writes early (prefill):
-  /// `lpn`'s L2P and version entries, then, once those have arrived, its
-  /// mapped page's OOB record and block. Neither touches state.
-  void prefetch(std::uint64_t lpn) const {
-    __builtin_prefetch(&map_[lpn]);
-    __builtin_prefetch(&version_[lpn]);
-  }
+  /// `lpn`'s L2P record, then, once it has arrived, its mapped page's OOB
+  /// record and block. Neither touches state.
+  void prefetch(std::uint64_t lpn) const { __builtin_prefetch(&l2p_[lpn]); }
   void prefetch_mapped(std::uint64_t lpn) const {
-    const std::uint64_t ppn = map_[lpn];
-    if (ppn == kInvalid) return;
+    const std::uint32_t ppn = l2p_[lpn].ppn;
+    if (ppn == kNoPpn) return;
     __builtin_prefetch(&oob_[ppn]);
     __builtin_prefetch(&blocks_[block_of(ppn)]);
   }
@@ -357,7 +354,7 @@ class PageMappingFtl {
   /// (real NAND writes data + OOB in one page program). Survives power
   /// loss; only a successful erase clears it. Everything Mount() needs to
   /// rebuild the L2P map is here, packed into 24 bytes per page: the lpn
-  /// and version fit 32 bits (the constructor and append() check), and
+  /// and version fit 32 bits (the constructor and write() check), and
   /// the storage mode rides the epoch word's top bit.
   struct OobRecord {
     std::uint32_t lpn = kNoLpn;
@@ -412,6 +409,18 @@ class PageMappingFtl {
   /// The durable records' 32-bit "no lpn"; never a real lpn, since the
   /// constructor caps logical_pages() at it.
   static constexpr std::uint32_t kNoLpn = ~0U;
+  /// LpnRecord's 32-bit "unmapped"; never a real ppn, since the
+  /// constructor caps total_pages() at it.
+  static constexpr std::uint32_t kNoPpn = ~0U;
+
+  /// The volatile per-lpn state, 8 bytes so a write, an invalidate and a
+  /// lookup touch one cache line per lpn: the L2P entry and the host-write
+  /// generation (32 bits, like the OOB record that persists it).
+  struct LpnRecord {
+    std::uint32_t ppn = kNoPpn;
+    std::uint32_t version = 0;
+  };
+  static_assert(sizeof(LpnRecord) == 8);
 
   std::uint32_t usable_pages(const BlockMeta& block) const;
   std::uint64_t make_ppn(std::uint32_t block, std::uint32_t page) const {
@@ -475,7 +484,8 @@ class PageMappingFtl {
   FtlConfig config_;
   std::uint64_t logical_pages_;
   std::vector<BlockMeta> blocks_;
-  std::vector<std::uint64_t> map_;   // lpn -> ppn (kInvalid when unmapped)
+  /// By lpn. Volatile: Mount() rebuilds it from the winning OOB records.
+  std::vector<LpnRecord> l2p_;
   /// One bit per ppn: set while the page holds its lpn's live copy.
   /// Volatile (Mount() rebuilds it from the winning OOB records).
   std::vector<bool> valid_;
@@ -522,8 +532,6 @@ class PageMappingFtl {
   /// bytes function; see ftl/payload.h).
   PayloadModel payload_;
   std::uint64_t epoch_ = 0;
-  // Volatile, rebuilt by Mount() from the winning OOB records.
-  std::vector<std::uint64_t> version_;  // by lpn
 
   /// Bound metric handles mirroring FtlStats (null when detached).
   struct Metrics {

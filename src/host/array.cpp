@@ -394,10 +394,13 @@ SimTime ArraySimulator::deliver_completion(const HostCommand& cmd,
 }
 
 Duration ArraySimulator::dispatch(const HostCommand& cmd, SimTime now) {
+  // A command is one extent of a trace request, so its length fits the
+  // request's 16-bit page count.
+  FLEX_EXPECTS(cmd.pages <= trace::kMaxRequestPages);
   const trace::Request req{.arrival = now,
-                           .is_write = cmd.is_write,
                            .lpn = cmd.lpn,
-                           .pages = cmd.pages,
+                           .pages = static_cast<std::uint16_t>(cmd.pages),
+                           .is_write = cmd.is_write,
                            .tenant = cmd.tenant,
                            .priority = cmd.priority,
                            .requester = cmd.requester};
@@ -441,9 +444,9 @@ Duration ArraySimulator::recover_corrupt_pages(
       if (sibling == cmd.drive) continue;
       const trace::Request retry{
           .arrival = now,
-          .is_write = false,
           .lpn = dlpn,
           .pages = 1,
+          .is_write = false,
           .tenant = cmd.tenant,
           .priority = cmd.priority,
           .requester = cmd.requester};

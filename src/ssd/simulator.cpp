@@ -381,15 +381,16 @@ void SsdSimulator::prefill(std::uint64_t pages) {
   const double log_min = std::log(config_.min_prefill_age);
   const double log_max = std::log(config_.max_prefill_age);
   FLEX_EXPECTS(config_.prefill_extent_pages >= 1);
-  Hours age = config_.max_prefill_age;
-  static_birth_.assign(pages, 0);
+  // One age, hence one birth time, per extent: static_birth_ holds one
+  // entry per extent (the last one possibly partial).
+  static_birth_.clear();
+  static_birth_pages_ = pages;
   for (std::uint64_t lpn = 0; lpn < pages; ++lpn) {
     if (lpn % config_.prefill_extent_pages == 0) {
-      age = std::exp(rng_.uniform(log_min, log_max));
+      const Hours age = std::exp(rng_.uniform(log_min, log_max));
+      static_birth_.push_back(static_cast<SimTime>(-age * 3600.0 * 1e9));
     }
-    const auto birth = static_cast<SimTime>(-age * 3600.0 * 1e9);
-    static_birth_[lpn] = birth;
-    ftl_.write(lpn, mode, birth);
+    ftl_.write(lpn, mode, static_birth_.back());
     // Prefilled data is on NAND by definition: durable as written.
     mark_durable(lpn);
   }
@@ -468,8 +469,8 @@ SsdSimulator::PageReadPlan SsdSimulator::plan_read_page(
 
   const SimTime birth =
       config_.age_model == AgeModel::kStaticPerLba &&
-              lpn < static_birth_.size()
-          ? static_birth_[lpn]
+              lpn < static_birth_pages_
+          ? static_birth_[lpn / config_.prefill_extent_pages]
           : info->write_time;
   const Hours age = static_cast<double>(now - birth) / (3600.0 * 1e9);
   const auto assessment =
@@ -554,7 +555,8 @@ SsdSimulator::PageService SsdSimulator::service_read_page(std::uint64_t lpn,
 }
 
 void SsdSimulator::mark_durable(std::uint64_t lpn) {
-  durable_version_[lpn] = ftl_.data_version(lpn);
+  // Versions fit 32 bits: the FTL asserts it on every host write.
+  durable_version_[lpn] = static_cast<std::uint32_t>(ftl_.data_version(lpn));
 }
 
 void SsdSimulator::record_durable(std::uint64_t lpn) {

@@ -529,8 +529,9 @@ class SsdSimulator : private QosSink {
   /// write to `lpn` that was *programmed to NAND*; 0 if never durable.
   /// The crash harness checks it against the mounted FTL: every entry
   /// here must survive a crash+mount.
-  const std::vector<std::uint64_t>& durable_versions() const {
-    return durable_version_;
+  /// Returns a copy widened from the 32-bit ledger.
+  std::vector<std::uint64_t> durable_versions() const {
+    return {durable_version_.begin(), durable_version_.end()};
   }
 
   const ftl::PageMappingFtl& ftl() const { return ftl_; }
@@ -674,8 +675,11 @@ class SsdSimulator : private QosSink {
   /// order: the policy captures the pointer).
   std::unique_ptr<faults::FaultInjector> injector_;
   std::unique_ptr<ReadPolicy> policy_;
-  /// Per-LBA data birth time for AgeModel::kStaticPerLba (prefill only).
+  /// Data birth time for AgeModel::kStaticPerLba, one per prefill extent
+  /// (prefill draws one age per config_.prefill_extent_pages lpns), so
+  /// lpn < static_birth_pages_ reads static_birth_[lpn / extent].
   std::vector<SimTime> static_birth_;
+  std::uint64_t static_birth_pages_ = 0;
   Rng rng_;
   SsdResults results_;
   /// Pooled per-read attempt scratch for latency-breakdown tracing; reused
@@ -683,7 +687,7 @@ class SsdSimulator : private QosSink {
   std::vector<ReadAttempt> attempts_scratch_;
   ftl::FtlStats prefill_stats_;
   /// Per-LPN durable version ledger (see durable_versions()).
-  std::vector<std::uint64_t> durable_version_;
+  std::vector<std::uint32_t> durable_version_;
   bool crashed_ = false;
   std::uint64_t crash_ordinal_ = 0;
   /// config_.integrity.enabled, hoisted for the read hot path.

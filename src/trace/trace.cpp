@@ -76,10 +76,16 @@ std::vector<Request> read_csv(std::istream& in) {
       throw std::runtime_error("trace: bad op field: " + line);
     }
     req.lpn = parse_u64(fields[2], "lpn");
-    req.pages = static_cast<std::uint32_t>(parse_u64(fields[3], "pages"));
-    if (req.pages == 0) {
+    const std::uint64_t pages = parse_u64(fields[3], "pages");
+    if (pages == 0) {
       throw std::runtime_error("trace: zero-length request: " + line);
     }
+    if (pages > kMaxRequestPages) {
+      throw std::runtime_error("trace: request longer than " +
+                               std::to_string(kMaxRequestPages) +
+                               " pages: " + line);
+    }
+    req.pages = static_cast<std::uint16_t>(pages);
     trace.push_back(req);
   }
   return trace;

@@ -15,11 +15,16 @@
 
 namespace flex::trace {
 
+/// Longest request a trace can carry (Request::pages is 16 bits).
+inline constexpr std::uint32_t kMaxRequestPages = 0xFFFF;
+
+/// Declared widest-first so the record packs into 24 bytes: a
+/// materialised million-request trace is 24 MB.
 struct Request {
   SimTime arrival = 0;        ///< ns since trace start
-  bool is_write = false;
   std::uint64_t lpn = 0;      ///< first logical page
-  std::uint32_t pages = 1;    ///< request length in pages
+  std::uint16_t pages = 1;    ///< request length in pages
+  bool is_write = false;
   std::uint16_t tenant = 0;   ///< QoS tenant index (0 = default tenant)
   std::uint8_t priority = 0;  ///< 0 = normal; higher tightens deadlines
   /// Host port originating the request in an array (src/host): requests
@@ -29,6 +34,7 @@ struct Request {
 
   bool operator==(const Request&) const = default;
 };
+static_assert(sizeof(Request) == 24);
 
 /// Pull-based request stream: the open-loop workload engine implements this
 /// so the simulator can draw arrivals one at a time instead of replaying a
@@ -57,7 +63,8 @@ struct TraceSummary {
 TraceSummary summarize(const std::vector<Request>& trace);
 
 void write_csv(std::ostream& out, const std::vector<Request>& trace);
-/// Throws std::runtime_error on malformed lines.
+/// Throws std::runtime_error on malformed lines, including a page count of
+/// 0 or above kMaxRequestPages.
 std::vector<Request> read_csv(std::istream& in);
 
 }  // namespace flex::trace

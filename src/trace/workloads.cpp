@@ -131,6 +131,7 @@ std::vector<Request> generate(const WorkloadParams& params,
   FLEX_EXPECTS(params.footprint_pages >= 1024);
   FLEX_EXPECTS(params.read_fraction >= 0.0 && params.read_fraction <= 1.0);
   FLEX_EXPECTS(params.mean_request_pages >= 1.0);
+  FLEX_EXPECTS(params.max_request_pages <= kMaxRequestPages);
   FLEX_EXPECTS(params.iops > 0.0);
 
   Rng rng(seed);
@@ -166,7 +167,7 @@ std::vector<Request> generate(const WorkloadParams& params,
     req.is_write = !rng.chance(params.read_fraction);
 
     // Geometric request length.
-    std::uint32_t pages = 1;
+    std::uint16_t pages = 1;
     while (pages < params.max_request_pages && !rng.chance(geo_p)) ++pages;
     req.pages = pages;
 

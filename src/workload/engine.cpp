@@ -56,8 +56,12 @@ Status EngineConfig::Validate() const {
     if (t.zipf_theta < 0.0) {
       return Status::InvalidArgument(who + "zipf_theta must be >= 0");
     }
-    if (t.max_request_pages < 1) {
-      return Status::InvalidArgument(who + "max_request_pages must be >= 1");
+    if (t.max_request_pages < 1 ||
+        t.max_request_pages > trace::kMaxRequestPages) {
+      return Status::InvalidArgument(who +
+                                     "max_request_pages must be in [1, " +
+                                     std::to_string(trace::kMaxRequestPages) +
+                                     "]");
     }
     if (t.mean_request_pages < 1.0) {
       return Status::InvalidArgument(who +
@@ -131,7 +135,7 @@ std::optional<trace::Request> WorkloadEngine::next() {
   trace::Request req;
   req.arrival = arrival;
   req.is_write = !rng_.chance(spec.read_fraction);
-  std::uint32_t pages = 1;
+  std::uint16_t pages = 1;
   while (pages < spec.max_request_pages && !rng_.chance(state.geo_p)) {
     ++pages;
   }

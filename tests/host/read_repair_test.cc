@@ -114,9 +114,9 @@ class ReadRepairTest : public ::testing::Test {
     for (std::uint64_t i = 0; i < requests; ++i) {
       const std::uint64_t h = mix64(i ^ 0x1E67'D1C0ULL);
       trace.push_back({.arrival = base + static_cast<SimTime>(i * kGap),
-                       .is_write = (h % 10) == 0,
                        .lpn = mix64(h) % footprint,
-                       .pages = 1});
+                       .pages = 1,
+                       .is_write = (h % 10) == 0});
     }
     return trace;
   }
@@ -131,9 +131,9 @@ class ReadRepairTest : public ::testing::Test {
       for (std::uint64_t copy = 0; copy < 2; ++copy) {
         scrub.push_back(
             {.arrival = base + static_cast<SimTime>((hpn * 2 + copy) * kGap),
-             .is_write = false,
              .lpn = hpn,
-             .pages = 1});
+             .pages = 1,
+             .is_write = false});
       }
     }
     return scrub;
@@ -215,9 +215,9 @@ TEST_F(ReadRepairTest, CorruptReplicaIsRepairedFromItsMirror) {
       std::vector<trace::Request> reads;
       for (std::uint64_t copy = 0; copy < 2; ++copy) {
         reads.push_back({.arrival = base + static_cast<SimTime>(copy * kGap),
-                         .is_write = false,
                          .lpn = hpn,
-                         .pages = 1});
+                         .pages = 1,
+                         .is_write = false});
       }
       base += 1'000'000'000LL;
       array->run_segment(reads);

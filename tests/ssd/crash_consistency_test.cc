@@ -9,11 +9,13 @@
 #include "ssd/crash_harness.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc64.h"
 #include "common/rng.h"
 #include "flexlevel/nunma.h"
 #include "flexlevel/reduce_mapper.h"
@@ -240,6 +242,46 @@ TEST_F(CrashConsistencyTest, CrashOffRunsAreUnperturbed) {
   EXPECT_EQ(a.writes_durable, b.writes_durable);
   EXPECT_EQ(a.crashes, 0u);
   EXPECT_EQ(b.crashes, 0u);
+}
+
+TEST_F(CrashConsistencyTest, L2pDumpAndLedgerAreWidenedExactly) {
+  // The L2P table and the durability ledger are stored as 32-bit fields;
+  // l2p_dump() and durable_versions() widen them. Across a crash and mount
+  // an unmapped lpn dumps as kInvalidPpn, every mapped one as its ppn, and
+  // every durable version exactly. The crcs were taken on 64-bit tables.
+  SsdSimulator sim(crash_config(Scheme::kLdpcInSsd), *normal_, *reduced_);
+  sim.prefill(4000);
+  sim.run_segment(small_trace(5000, 91));
+  if (!sim.crashed()) sim.power_loss();
+  sim.mount();
+
+  const ftl::PageMappingFtl& ftl = sim.ftl();
+  const std::vector<std::uint64_t> l2p = ftl.l2p_dump();
+  const std::vector<std::uint64_t> durable = sim.durable_versions();
+  ASSERT_EQ(l2p.size(), ftl.logical_pages());
+  ASSERT_EQ(durable.size(), ftl.logical_pages());
+  std::uint64_t unmapped = 0;
+  std::uint64_t durable_entries = 0;
+  for (std::uint64_t lpn = 0; lpn < ftl.logical_pages(); ++lpn) {
+    const std::optional<ftl::PageInfo> info = ftl.lookup(lpn);
+    if (info.has_value()) {
+      EXPECT_EQ(l2p[lpn], info->ppn) << lpn;
+    } else {
+      EXPECT_EQ(l2p[lpn], ftl::PageMappingFtl::kInvalidPpn) << lpn;
+      ++unmapped;
+    }
+    if (durable[lpn] != 0) {
+      ++durable_entries;
+      EXPECT_TRUE(info.has_value()) << lpn;
+      EXPECT_EQ(durable[lpn], ftl.data_version(lpn)) << lpn;
+    }
+  }
+  EXPECT_GT(unmapped, 0u);  // the lpns past the 4,000-page footprint
+  EXPECT_GT(durable_entries, 0u);
+  EXPECT_EQ(crc64(l2p.data(), l2p.size() * sizeof(l2p[0])),
+            0x161eb4663799328aULL);
+  EXPECT_EQ(crc64(durable.data(), durable.size() * sizeof(durable[0])),
+            0x9fd807019af13abaULL);
 }
 
 TEST_F(CrashConsistencyTest, MountIsIdempotentIncludingMetrics) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -352,6 +354,63 @@ TEST_F(SimulatorTest, PrefillStateIsPinned) {
               c.durable_crc);
     EXPECT_EQ(sim.ftl().stats(), c.stats);
     EXPECT_TRUE(sim.ftl().check_consistency().ok());
+  }
+}
+
+// Hex-exact digest of a run's results: the response statistics, the read
+// tail, the sensing-depth distribution, the read-time components and the
+// FTL counters.
+std::uint64_t results_digest(const SsdResults& r) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  for (const RunningStats* stats :
+       {&r.read_response, &r.write_response, &r.all_response}) {
+    out << stats->count() << ' ' << stats->sum() << ' ' << stats->min()
+        << ' ' << stats->max() << '\n';
+  }
+  for (const double q : {0.5, 0.99, 0.999}) {
+    out << r.read_latency_hist.quantile(q) << ' ';
+  }
+  out << '\n';
+  for (const std::uint64_t reads : r.sensing_level_reads) out << reads << ' ';
+  out << '\n'
+      << r.read_breakdown.queue_wait << ' ' << r.read_breakdown.sensing << ' '
+      << r.read_breakdown.transfer << ' ' << r.read_breakdown.decode << ' '
+      << r.read_breakdown.buffer << '\n'
+      << r.buffer_hits << ' ' << r.unmapped_reads << ' '
+      << r.uncorrectable_reads << ' ' << r.ftl.host_writes << ' '
+      << r.ftl.nand_writes << ' ' << r.ftl.gc_page_moves << '\n';
+  const std::string text = out.str();
+  return crc64(text.data(), text.size());
+}
+
+TEST_F(SimulatorTest, StaticPerLbaAgesArePinned) {
+  // Under kStaticPerLba a read of a prefilled lpn ages from its prefill
+  // extent's birth time; past the prefilled range it falls back to the
+  // page's write time. 2,500 of the trace's 4,000 footprint pages are
+  // prefilled, so reads land on both sides (and on unmapped pages), and
+  // with 7-page extents the last extent is partial. Digests taken on the
+  // per-lpn birth table this per-extent one replaced.
+  struct Case {
+    std::uint64_t extent_pages;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {1, 0xb05dbf15cab4bd9bULL},
+      {7, 0x5db5ff97567ebe7aULL},
+      {64, 0x22388745ed308504ULL},
+  };
+  const std::vector<trace::Request> trace = small_trace(0.7, 59);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "extent=" << c.extent_pages);
+    SsdConfig cfg = small_config(Scheme::kLdpcInSsd);
+    cfg.age_model = AgeModel::kStaticPerLba;
+    cfg.prefill_extent_pages = c.extent_pages;
+    SsdSimulator sim(std::move(cfg), *normal_, *reduced_);
+    sim.prefill(2500);
+    const SsdResults results = sim.run(trace);
+    EXPECT_GT(results.unmapped_reads, 0u);
+    EXPECT_EQ(results_digest(results), c.digest);
   }
 }
 

@@ -9,9 +9,9 @@ namespace {
 
 TEST(TraceTest, CsvRoundTrip) {
   const std::vector<Request> original = {
-      {.arrival = 0, .is_write = false, .lpn = 100, .pages = 4},
-      {.arrival = 1500 * kMicrosecond, .is_write = true, .lpn = 7, .pages = 1},
-      {.arrival = 2 * kSecond, .is_write = false, .lpn = 0, .pages = 64},
+      {.arrival = 0, .lpn = 100, .pages = 4, .is_write = false},
+      {.arrival = 1500 * kMicrosecond, .lpn = 7, .pages = 1, .is_write = true},
+      {.arrival = 2 * kSecond, .lpn = 0, .pages = 64, .is_write = false},
   };
   std::stringstream buffer;
   write_csv(buffer, original);
@@ -42,11 +42,23 @@ TEST(TraceTest, MalformedLinesThrow) {
   }
 }
 
+TEST(TraceTest, PageCountsBeyondSixteenBitsThrow) {
+  // A 32-bit cast would silently turn 2^32 + 1 pages into 1.
+  for (const char* bad : {"1,R,5,4294967297\n", "1,R,5,65536\n"}) {
+    std::stringstream in(bad);
+    EXPECT_THROW((void)read_csv(in), std::runtime_error) << bad;
+  }
+  std::stringstream in("1,R,5,65535\n");
+  const auto parsed = read_csv(in);
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].pages, kMaxRequestPages);
+}
+
 TEST(TraceTest, SummarizeCounts) {
   const std::vector<Request> trace = {
-      {.arrival = 0, .is_write = false, .lpn = 10, .pages = 4},
-      {.arrival = 1, .is_write = true, .lpn = 100, .pages = 2},
-      {.arrival = 2, .is_write = false, .lpn = 5, .pages = 1},
+      {.arrival = 0, .lpn = 10, .pages = 4, .is_write = false},
+      {.arrival = 1, .lpn = 100, .pages = 2, .is_write = true},
+      {.arrival = 2, .lpn = 5, .pages = 1, .is_write = false},
   };
   const TraceSummary s = summarize(trace);
   EXPECT_EQ(s.requests, 3u);

@@ -77,6 +77,15 @@ TEST(WorkloadsTest, ReadsAreSkewed) {
   EXPECT_GT(static_cast<double>(hot_reads) / reads, 0.2);
 }
 
+TEST(WorkloadsDeathTest, GenerateRejectsRequestsBeyondSixteenBitPages) {
+  WorkloadParams params = workload_params(Workload::kWeb1);
+  params.requests = 100;
+  params.max_request_pages = kMaxRequestPages;
+  EXPECT_EQ(generate(params, 7).size(), 100u);
+  params.max_request_pages = kMaxRequestPages + 1;
+  EXPECT_DEATH((void)generate(params, 7), "precondition");
+}
+
 TEST(WorkloadsTest, WebIsReadHeavierThanPrj) {
   const auto web = summarize(generate(workload_params(Workload::kWeb1), 5));
   const auto prj = summarize(generate(workload_params(Workload::kPrj1), 5));

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -217,6 +218,17 @@ TEST(WorkloadEngineTest, ValidateRejectsBadConfigs) {
   bad = four_tenant_config();
   bad.arrivals.base_iops = -1.0;
   EXPECT_FALSE(bad.Validate().ok());
+}
+
+TEST(WorkloadEngineTest, ValidateRejectsRequestsBeyondSixteenBitPages) {
+  EngineConfig config = four_tenant_config();
+  config.tenants[0].footprint_pages = 1 << 17;
+  config.tenants[0].max_request_pages = trace::kMaxRequestPages;
+  EXPECT_TRUE(config.Validate().ok());
+  config.tenants[0].max_request_pages = trace::kMaxRequestPages + 1;
+  const Status status = config.Validate();
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("max_request_pages"), std::string::npos);
 }
 
 }  // namespace
