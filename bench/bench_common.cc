@@ -307,15 +307,7 @@ void write_trace_file(const std::string& path,
     }
   }
   for (const auto& [pid, tid] : tracks) {
-    telemetry::TrackLabel label{.pid = pid, .tid = tid, .thread = true};
-    if (tid == telemetry::kHostTrack) {
-      label.name = "host";
-    } else if (tid == telemetry::kFtlTrack) {
-      label.name = "ftl";
-    } else {
-      label.name = "chip " + std::to_string(tid);
-    }
-    labels.push_back(std::move(label));
+    labels.push_back(telemetry::thread_label(pid, tid));
   }
   std::ofstream out(path);
   telemetry::write_chrome_trace(out, spans, labels);

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/assert.h"
+#include "common/crc64.h"
 
 namespace flex::ftl {
 
@@ -72,6 +73,10 @@ PageMappingFtl::PageMappingFtl(FtlConfig config)
                     BlockSummary{.erase_count = config_.initial_pe_cycles});
   if (config_.integrity) {
     FLEX_EXPECTS(config_.integrity_payload_words >= 1);
+    // A drive that seals pages first checks its checksum, once per
+    // process: a miscompiled table or fold constant must seal nothing.
+    static const bool crc_ok = crc64_selftest();
+    FLEX_ASSERT(crc_ok);
     seals_.assign(config_.spec.total_pages(), SealRecord{});
   }
 }
@@ -523,16 +528,17 @@ SealVerdict PageMappingFtl::verify_page(std::uint64_t lpn, std::uint64_t ppn,
     return verdict;
   }
   const std::uint64_t expect_version = l2p_[lpn].version;
-  // The CRC of the bytes the read actually delivers: computed from the
-  // stored payload's identity (the generator stands in for the page
-  // body), XOR-perturbed when this read's transient post-ECC flip fires.
-  std::uint64_t actual_crc =
+  // The CRC of the bytes the medium holds: computed once from the stored
+  // payload's identity (the generator stands in for the page body).
+  const std::uint64_t stored_crc =
       payload_.crc(seal.payload_lpn, seal.payload_version);
+  // The CRC of the bytes this read delivers: the stored CRC,
+  // XOR-perturbed when this read's transient post-ECC flip fires.
   const bool transient_flip =
       injector_ != nullptr && injector_->silent_corruption(ppn, block_reads);
-  if (transient_flip) {
-    actual_crc ^= mix(ppn ^ (block_reads << 20)) | 1;
-  }
+  const std::uint64_t actual_crc =
+      transient_flip ? stored_crc ^ (mix(ppn ^ (block_reads << 20)) | 1)
+                     : stored_crc;
   // Cross-checks: delivered bytes vs the seal's CRC claim, and the
   // seal's identity claim vs what the FTL/ledger expects of this read.
   const bool crc_ok = actual_crc == seal.seal_crc;
@@ -543,9 +549,7 @@ SealVerdict PageMappingFtl::verify_page(std::uint64_t lpn, std::uint64_t ppn,
                           seal.payload_version != expect_version;
   // Persistent iff the medium itself is wrong: re-delivering the same
   // cells without the transient flip would still fail the cross-check.
-  verdict.persistent =
-      !identity_ok ||
-      payload_.crc(seal.payload_lpn, seal.payload_version) != seal.seal_crc;
+  verdict.persistent = !identity_ok || stored_crc != seal.seal_crc;
   return verdict;
 }
 

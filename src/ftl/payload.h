@@ -33,9 +33,9 @@ class PayloadModel {
   std::vector<std::uint8_t> generate(std::uint64_t lpn,
                                      std::uint64_t version) const;
 
-  /// CRC64 of generate(lpn, version), computed incrementally without
-  /// materializing the page — the hot-path form the read-back
-  /// verification uses.
+  /// CRC64 of generate(lpn, version), serialized into a stack buffer
+  /// and checksummed in one pass without a heap allocation — the
+  /// hot-path form sealing and read-back verification use.
   std::uint64_t crc(std::uint64_t lpn, std::uint64_t version) const;
 
  private:

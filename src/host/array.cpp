@@ -361,7 +361,9 @@ void ArraySimulator::submit_request(const trace::Request& request,
       .requester = static_cast<std::uint8_t>(
           request.requester % config_.interconnect.requesters),
       .is_write = request.is_write,
-      .outstanding = 1};  // issue guard against same-time completion
+      .outstanding = 1,  // issue guard against same-time completion
+      .response = 0,
+      .slowest = {}};
   record_queue_.push_back(slot);
 
   volume_.split(request.lpn, request.pages, extent_scratch_);

@@ -702,13 +702,6 @@ void SsdSimulator::record_request_stats(bool is_write, std::uint16_t tenant,
     results_.read_breakdown.transfer += slowest.transfer;
     results_.read_breakdown.decode += slowest.decode;
     results_.read_breakdown.buffer += slowest.buffer;
-    if (response > 0) {
-      const auto total = static_cast<double>(response);
-      results_.wait_share_hist.add(slowest.wait / total);
-      results_.sensing_share_hist.add(slowest.sense / total);
-      results_.transfer_share_hist.add(slowest.transfer / total);
-      results_.decode_share_hist.add(slowest.decode / total);
-    }
   }
   if (telemetry_) {
     ++metrics_.requests->value;
@@ -833,7 +826,9 @@ void SsdSimulator::service_request_qos(const trace::Request& request,
                                    .pages = request.pages,
                                    .tenant = tenant,
                                    .is_write = request.is_write,
-                                   .outstanding = 1};  // issue guard
+                                   .outstanding = 1,  // issue guard
+                                   .slowest = {},
+                                   .write_response = 0};
   ++qos_outstanding_[tenant];
   qos_slots_high_water_ =
       std::max<std::uint64_t>(qos_slots_high_water_,

@@ -269,12 +269,6 @@ struct SsdResults {
   Histogram read_latency_hist = Histogram::log_spaced(1e-6, 1.0, 480);
   /// Component sums of read-response time (see ReadBreakdown).
   ReadBreakdown read_breakdown;
-  /// Per-request component shares (component / response, in [0, 1]), one
-  /// sample per read request — the shape behind the breakdown sums.
-  Histogram wait_share_hist{0.0, 1.0, 50};
-  Histogram sensing_share_hist{0.0, 1.0, 50};
-  Histogram transfer_share_hist{0.0, 1.0, 50};
-  Histogram decode_share_hist{0.0, 1.0, 50};
   ftl::FtlStats ftl;            ///< trace-phase deltas (prefill excluded)
   std::uint64_t buffer_hits = 0;
   std::uint64_t unmapped_reads = 0;

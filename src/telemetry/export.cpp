@@ -120,20 +120,19 @@ void write_chrome_trace(std::ostream& out, const std::vector<Span>& spans,
   out << "\n]}\n";
 }
 
+TrackLabel thread_label(std::int32_t pid, std::int32_t tid) {
+  std::string name = tid == kHostTrack  ? "host"
+                     : tid == kFtlTrack ? "ftl"
+                                        : "chip " + std::to_string(tid);
+  return {.pid = pid, .tid = tid, .thread = true, .name = std::move(name)};
+}
+
 void write_chrome_trace(std::ostream& out, const std::vector<Span>& spans) {
   std::set<std::pair<std::int32_t, std::int32_t>> tracks;
   for (const Span& span : spans) tracks.emplace(span.pid, span.tid);
   std::vector<TrackLabel> labels;
   for (const auto& [pid, tid] : tracks) {
-    TrackLabel label{.pid = pid, .tid = tid, .thread = true};
-    if (tid == kHostTrack) {
-      label.name = "host";
-    } else if (tid == kFtlTrack) {
-      label.name = "ftl";
-    } else {
-      label.name = "chip " + std::to_string(tid);
-    }
-    labels.push_back(std::move(label));
+    labels.push_back(thread_label(pid, tid));
   }
   write_chrome_trace(out, spans, labels);
 }

@@ -27,6 +27,10 @@ struct TrackLabel {
   std::string name;
 };
 
+/// The default thread label of track `(pid, tid)`: "host", "ftl" or
+/// "chip N".
+TrackLabel thread_label(std::int32_t pid, std::int32_t tid);
+
 /// Writes `{"traceEvents":[...]}`: metadata first, then spans as complete
 /// ("X") or instant ("i") events in non-decreasing `ts` order (stable with
 /// respect to recording order, so same-instant parents precede their
