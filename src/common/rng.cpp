@@ -98,6 +98,4 @@ bool Rng::chance(double p) {
   return uniform() < p;
 }
 
-Rng Rng::fork() { return Rng(next()); }
-
 }  // namespace flex

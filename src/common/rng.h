@@ -13,7 +13,7 @@
 namespace flex {
 
 /// Deterministic random source. Copyable; copies continue the sequence
-/// independently, which makes it cheap to fork per-component streams.
+/// independently.
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -53,10 +53,6 @@ class Rng {
 
   /// Bernoulli trial with probability p (clamped to [0,1]).
   bool chance(double p);
-
-  /// Forks an independently-seeded child stream; used to give each
-  /// simulated component its own reproducible sequence.
-  Rng fork();
 
  private:
   std::uint64_t state_[4];

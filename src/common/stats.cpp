@@ -49,8 +49,6 @@ double RunningStats::variance() const {
   return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_);
 }
 
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 double RunningStats::min() const {
   return count_ == 0 ? std::numeric_limits<double>::infinity() : min_;
 }

@@ -18,7 +18,6 @@ class RunningStats {
   std::uint64_t count() const { return count_; }
   double mean() const;
   double variance() const;  ///< population variance; 0 for < 2 samples
-  double stddev() const;
   double min() const;  ///< +inf when empty
   double max() const;  ///< -inf when empty
   double sum() const { return sum_; }

@@ -94,8 +94,6 @@ std::vector<std::uint64_t> AccessEval::rebuild_pool(
   return overflow;
 }
 
-void AccessEval::on_invalidate(std::uint64_t lpn) { pool_.erase(lpn); }
-
 bool AccessEval::is_reduced(std::uint64_t lpn) const {
   return pool_.contains(lpn);
 }

@@ -48,10 +48,6 @@ class AccessEval {
   /// soft levels, and returns the controller's decision.
   AccessDecision on_read(std::uint64_t lpn, int extra_sensing_levels);
 
-  /// A page's data was overwritten or trimmed: drop its pool membership
-  /// (the new data starts cold in normal state).
-  void on_invalidate(std::uint64_t lpn);
-
   bool is_reduced(std::uint64_t lpn) const;
   std::uint64_t pool_size() const { return pool_.size(); }
   std::uint64_t pool_capacity() const { return config_.pool_capacity_pages; }

@@ -22,13 +22,6 @@ std::pair<int, int> ReducedWordline::pair_bitlines(int pair) const {
   return {4 * p + 1, 4 * p + 3};
 }
 
-int ReducedWordline::pair_of_bitline(int bitline) const {
-  FLEX_EXPECTS(bitline >= 0 && bitline < bitlines_);
-  const int even_pairs = bitlines_ / 4;
-  const int quad = bitline / 4;
-  return bitline % 2 == 0 ? quad : even_pairs + quad;
-}
-
 void ReducedWordline::program_lsbs_for(bool even,
                                        std::span<const std::uint8_t> bits) {
   FLEX_EXPECTS(static_cast<int>(bits.size()) == page_bits());

@@ -62,7 +62,6 @@ class ReducedWordline {
   std::vector<std::uint8_t> read(ReducedPageKind page) const;
 
  private:
-  int pair_of_bitline(int bitline) const;
   void program_lsbs_for(bool even, std::span<const std::uint8_t> bits);
   int decoded_value(int pair) const;
 

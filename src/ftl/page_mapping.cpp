@@ -12,6 +12,9 @@ namespace flex::ftl {
 
 namespace {
 
+/// 8-byte payload words per sealed page (the modeled page body).
+constexpr std::uint32_t kPayloadWords = 8;
+
 /// splitmix64 finalizer — derives the nonzero transient-flip delta a
 /// silent corruption XORs into the delivered CRC (any nonzero value
 /// models "some bits differ"; deriving it from the read identity keeps
@@ -27,7 +30,7 @@ std::uint64_t mix(std::uint64_t x) {
 
 PageMappingFtl::PageMappingFtl(FtlConfig config)
     : config_(config),
-      payload_(config.integrity_seed, config.integrity_payload_words) {
+      payload_(config.integrity_seed, kPayloadWords) {
   FLEX_EXPECTS(config_.over_provisioning > 0.0 &&
                config_.over_provisioning < 1.0);
   FLEX_EXPECTS(config_.reduced_capacity_factor > 0.0 &&
@@ -72,7 +75,6 @@ PageMappingFtl::PageMappingFtl(FtlConfig config)
   summaries_.assign(total_blocks,
                     BlockSummary{.erase_count = config_.initial_pe_cycles});
   if (config_.integrity) {
-    FLEX_EXPECTS(config_.integrity_payload_words >= 1);
     // A drive that seals pages first checks its checksum, once per
     // process: a miscompiled table or fold constant must seal nothing.
     static const bool crc_ok = crc64_selftest();

@@ -47,8 +47,6 @@ struct FtlConfig {
   bool integrity = false;
   /// PayloadModel seed (the simulator passes its run seed).
   std::uint64_t integrity_seed = 0;
-  /// 8-byte payload words per page (the modeled page body).
-  std::uint32_t integrity_payload_words = 8;
 };
 
 struct FtlStats {

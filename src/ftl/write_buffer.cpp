@@ -65,17 +65,6 @@ const std::vector<std::uint64_t>& WriteBuffer::flush_barrier() {
   return flush_scratch_;
 }
 
-const std::vector<std::uint64_t>& WriteBuffer::drain() {
-  flush_scratch_.clear();
-  // Oldest first, matching the overflow eviction order.
-  lru_.for_each_oldest_first([this](std::uint64_t lpn, bool& dirty) {
-    if (dirty) flush_scratch_.push_back(lpn);
-  });
-  lru_.clear();
-  dirty_count_ = 0;
-  return flush_scratch_;
-}
-
 std::uint64_t WriteBuffer::power_loss() {
   const std::uint64_t lost = dirty_count_;
   lru_.clear();

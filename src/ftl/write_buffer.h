@@ -57,10 +57,6 @@ class WriteBuffer {
   /// barrier makes data durable, it does not evict it.
   const std::vector<std::uint64_t>& flush_barrier();
 
-  /// Drains every dirty page, oldest first, and empties the buffer
-  /// (simulation end).
-  const std::vector<std::uint64_t>& drain();
-
   /// Power loss: DRAM contents vanish. Returns the number of dirty
   /// (acknowledged but never programmed) pages that were lost.
   std::uint64_t power_loss();
@@ -80,7 +76,7 @@ class WriteBuffer {
   // LRU by write order: most recently written at front. Value = dirty bit.
   LruMap<bool> lru_;
   // Reused result storage. Separate scratch for the insert path and the
-  // barrier/drain path: a caller may iterate an insert's eviction list
+  // barrier path: a caller may iterate an insert's eviction list
   // while issuing a barrier-triggering operation on another code path.
   std::vector<std::uint64_t> insert_scratch_;
   std::vector<std::uint64_t> flush_scratch_;

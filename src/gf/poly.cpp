@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/assert.h"
-
 namespace flex::gf {
 
 Poly::Poly(std::vector<Field::Element> coeffs) : coeffs_(std::move(coeffs)) {
@@ -53,50 +51,12 @@ Poly Poly::scale(const Field& f, const Poly& a, Field::Element c) {
   return Poly(std::move(out));
 }
 
-Poly Poly::mod(const Field& f, const Poly& a, const Poly& b) {
-  FLEX_EXPECTS(!b.is_zero());
-  std::vector<Field::Element> rem(a.coeffs_);
-  const auto db = static_cast<std::size_t>(b.degree());
-  const Field::Element lead_inv = f.inverse(b.coeffs_.back());
-  while (rem.size() > db) {
-    const Field::Element factor = f.mul(rem.back(), lead_inv);
-    if (factor != 0) {
-      const std::size_t shift = rem.size() - 1 - db;
-      for (std::size_t i = 0; i <= db; ++i) {
-        rem[shift + i] =
-            Field::add(rem[shift + i], f.mul(factor, b.coeffs_[i]));
-      }
-    }
-    rem.pop_back();
-    while (!rem.empty() && rem.back() == 0) rem.pop_back();
-  }
-  return Poly(std::move(rem));
-}
-
-Poly Poly::truncate(const Poly& a, std::size_t k) {
-  std::vector<Field::Element> out(
-      a.coeffs_.begin(),
-      a.coeffs_.begin() +
-          static_cast<std::ptrdiff_t>(std::min(a.coeffs_.size(), k)));
-  return Poly(std::move(out));
-}
-
 Field::Element Poly::eval(const Field& f, Field::Element x) const {
   Field::Element acc = 0;
   for (std::size_t i = coeffs_.size(); i-- > 0;) {
     acc = Field::add(f.mul(acc, x), coeffs_[i]);
   }
   return acc;
-}
-
-Poly Poly::derivative() const {
-  if (coeffs_.size() <= 1) return Poly{};
-  std::vector<Field::Element> out(coeffs_.size() - 1, 0);
-  // d/dx sum c_i x^i = sum (i mod 2) c_i x^(i-1) over GF(2^m).
-  for (std::size_t i = 1; i < coeffs_.size(); i += 2) {
-    out[i - 1] = coeffs_[i];
-  }
-  return Poly(std::move(out));
 }
 
 }  // namespace flex::gf

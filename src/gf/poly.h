@@ -30,16 +30,9 @@ class Poly {
   static Poly add(const Poly& a, const Poly& b);
   static Poly mul(const Field& f, const Poly& a, const Poly& b);
   static Poly scale(const Field& f, const Poly& a, Field::Element c);
-  /// Remainder of a mod b; requires b nonzero.
-  static Poly mod(const Field& f, const Poly& a, const Poly& b);
-  /// Truncate to coefficients below x^k (i.e. a mod x^k).
-  static Poly truncate(const Poly& a, std::size_t k);
 
   /// Horner evaluation at x.
   Field::Element eval(const Field& f, Field::Element x) const;
-
-  /// Formal derivative: in characteristic 2 the even-power terms vanish.
-  Poly derivative() const;
 
   bool operator==(const Poly& other) const = default;
 

@@ -34,7 +34,6 @@ SsdConfig validated(SsdConfig config) {
 ftl::FtlConfig with_integrity(ftl::FtlConfig ftl, const SsdConfig& config) {
   ftl.integrity = config.integrity.enabled;
   ftl.integrity_seed = config.seed;
-  ftl.integrity_payload_words = config.integrity.payload_words;
   return ftl;
 }
 
@@ -142,9 +141,6 @@ Status SsdConfig::Validate() const {
                                 " must be in [0, 1]");
     }
   }
-  if (integrity.enabled && integrity.payload_words < 1) {
-    return Status::OutOfRange("integrity.payload_words must be >= 1");
-  }
   if (!integrity.enabled && faults.enabled &&
       (faults.silent_corruption_rate > 0.0 ||
        faults.misdirected_write_rate > 0.0 ||
@@ -208,7 +204,7 @@ Status SsdConfig::Validate() const {
   } else if (qos.tenants != 1 || !qos.tenant_weights.empty() ||
              qos.admission_max_outstanding != 0 ||
              qos.write_admission_dirty_watermark != 0 ||
-             qos.gc_throttle_queue_depth != 0 || qos.slo_read_admission) {
+             qos.gc_throttle_queue_depth != 0) {
     return Status::InvalidArgument(
         "qos knobs are set but qos.enabled is false: the legacy path "
         "ignores them silently — enable QoS mode or clear the knobs");
@@ -300,19 +296,6 @@ SsdSimulator::SsdSimulator(SsdConfig config,
          .gc_throttle_queue_depth = config_.qos.gc_throttle_queue_depth},
         this);
     qos_outstanding_.assign(tenant_count_, 0);
-    if (config_.qos.slo_read_admission) {
-      // Conservative worst-case page service: the full progressive ladder
-      // walk to the deepest step (an upper bound on every scheme's read
-      // cost), plus the deepest-sensing recovery re-read when fault
-      // injection can trigger one.
-      const int deepest = channel_.ladder().steps().back().extra_levels;
-      slo_service_estimate_ = config_.latency.read_latency(
-          {.required_levels = deepest}, channel_.ladder());
-      if (injector_ != nullptr) {
-        slo_service_estimate_ += config_.latency.read_fixed(deepest);
-      }
-      slo_extra_.assign(config_.ftl.spec.chips, 0);
-    }
   }
   clear_results();
 }
@@ -799,17 +782,11 @@ void SsdSimulator::service_request_qos(const trace::Request& request,
   const std::uint16_t tenant = tenant_of(request);
   // Rejected before any slot or FTL mutation: the per-tenant queue-depth
   // cap is what bounds both queue memory and drive-state divergence under
-  // overload; SLO admission rejects a predicted deadline miss.
-  const bool over_cap =
-      config_.qos.admission_max_outstanding > 0 &&
-      qos_outstanding_[tenant] >= config_.qos.admission_max_outstanding;
-  const bool slo_miss = !over_cap && !request.is_write &&
-                        config_.qos.slo_read_admission &&
-                        !slo_admit_read(request, now);
-  if (over_cap || slo_miss) {
+  // overload.
+  if (config_.qos.admission_max_outstanding > 0 &&
+      qos_outstanding_[tenant] >= config_.qos.admission_max_outstanding) {
     ++results_.tenant[tenant].admission_rejected;
     ++results_.admission_rejected;
-    if (slo_miss) ++results_.slo_rejected;
     if (telemetry_) ++metrics_.tenant_rejected[tenant]->value;
     return;
   }
@@ -846,38 +823,6 @@ void SsdSimulator::service_request_qos(const trace::Request& request,
   // Drop the issue guard; a request whose pages all resolved
   // synchronously (buffer hits, buffered writes) finalizes here.
   if (--qos_requests_[slot].outstanding == 0) finalize_qos(slot);
-}
-
-bool SsdSimulator::slo_admit_read(const trace::Request& request,
-                                  SimTime now) {
-  // The same priority tightening the dispatcher applies when it assigns
-  // the queued command's deadline (chip_scheduler submit_qos).
-  const Duration budget =
-      config_.qos.read_deadline / (1 + request.priority);
-  if (config_.latency.buffer_latency > budget) return false;
-  const std::uint64_t logical = ftl_.logical_pages();
-  bool admit = true;
-  for (std::uint32_t i = 0; i < request.pages; ++i) {
-    const std::uint64_t lpn = (request.lpn + i) % logical;
-    // Buffer hits and unmapped reads are DRAM-served: no chip backlog.
-    if (buffer_.contains(lpn)) continue;
-    const auto info = ftl_.lookup(lpn);
-    if (!info.has_value()) continue;
-    const std::size_t chip = scheduler_.chip_of(info->ppn);
-    const Duration predicted = scheduler_.qos_backlog(chip, now) +
-                               slo_extra_[chip] + slo_service_estimate_;
-    if (predicted > budget) {
-      admit = false;
-      break;
-    }
-    if (slo_extra_[chip] == 0) {
-      slo_touched_.push_back(static_cast<std::uint32_t>(chip));
-    }
-    slo_extra_[chip] += slo_service_estimate_;
-  }
-  for (const std::uint32_t chip : slo_touched_) slo_extra_[chip] = 0;
-  slo_touched_.clear();
-  return admit;
 }
 
 void SsdSimulator::queue_read_page(std::uint64_t lpn, std::uint64_t slot,

@@ -139,16 +139,6 @@ struct QosConfig {
   /// instead of buffering — back-pressure instead of unbounded dirtying.
   /// 0 = off. Must be <= write_buffer_pages.
   std::uint64_t write_admission_dirty_watermark = 0;
-  /// Latency-SLO admission: reject a read when its *predicted* completion
-  /// would miss the tenant's deadline budget — current chip backlog plus a
-  /// conservative worst-case service estimate, evaluated per page before
-  /// any slot or FTL mutation. The budget is read_deadline tightened by
-  /// priority exactly as the dispatcher tightens it (deadline / (1 +
-  /// priority)), so admission and scheduling agree on what "on time"
-  /// means. Under kFifo the predictor is exact (wait == backlog at
-  /// enqueue), making "admitted implies met deadline" a checkable
-  /// property; under kDeadline it is a conservative heuristic.
-  bool slo_read_admission = false;
 };
 
 /// End-to-end data integrity. Off by default — the FTL then moves pure
@@ -165,9 +155,6 @@ struct QosConfig {
 /// be undetectable by construction (Validate() enforces it).
 struct IntegrityConfig {
   bool enabled = false;
-  /// 8-byte payload words per modeled page body. More words model larger
-  /// pages; the CRC cost is O(words) per program/verify.
-  std::uint32_t payload_words = 8;
 };
 
 struct SsdConfig {
@@ -319,9 +306,6 @@ struct SsdResults {
   std::vector<TenantStats> tenant;
   /// Requests rejected by admission control (sum over tenants).
   std::uint64_t admission_rejected = 0;
-  /// Subset of admission_rejected due to predicted-deadline-miss SLO
-  /// admission (qos.slo_read_admission).
-  std::uint64_t slo_rejected = 0;
   /// QoS-mode gauges for the bounded-queue-memory invariant: high-water
   /// marks of in-flight request slots and of queued-but-not-in-service
   /// chip commands since the last reset_measurements().
@@ -583,9 +567,6 @@ class SsdSimulator : private QosSink {
 
   Duration service_request(const trace::Request& request, SimTime now);
   void service_request_qos(const trace::Request& request, SimTime now);
-  /// SLO admission predicate (qos.slo_read_admission): true when every
-  /// page of this read is predicted to meet its deadline budget.
-  bool slo_admit_read(const trace::Request& request, SimTime now);
   void on_qos_complete(const QosCompletion& done) override;
   void finalize_qos(std::uint64_t slot);
   /// Shared stat-recording tail of both service paths.
@@ -696,14 +677,6 @@ class SsdSimulator : private QosSink {
   /// high-water gauge.
   bool qos_mode_ = false;
   std::uint32_t tenant_count_ = 1;
-  /// SLO admission (qos.slo_read_admission): conservative worst-case
-  /// per-page service estimate (full progressive ladder walk, plus the
-  /// recovery re-read when fault injection is armed), and per-chip scratch
-  /// accumulating the estimates of pages admitted earlier in the *same*
-  /// request (slo_touched_ lists the dirtied entries for O(pages) reset).
-  Duration slo_service_estimate_ = 0;
-  std::vector<Duration> slo_extra_;
-  std::vector<std::uint32_t> slo_touched_;
   std::vector<QosRequest> qos_requests_;
   std::vector<std::uint64_t> qos_free_slots_;
   std::vector<std::uint64_t> qos_outstanding_;

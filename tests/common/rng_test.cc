@@ -133,17 +133,6 @@ TEST(RngTest, ChanceRate) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(29);
-  Rng child = parent.fork();
-  // The child must not replay the parent's future outputs.
-  std::vector<std::uint64_t> parent_seq(50);
-  std::vector<std::uint64_t> child_seq(50);
-  for (auto& v : parent_seq) v = parent.next();
-  for (auto& v : child_seq) v = child.next();
-  EXPECT_NE(parent_seq, child_seq);
-}
-
 TEST(RngTest, WorksWithStdDistributions) {
   Rng rng(31);
   // UniformRandomBitGenerator contract.

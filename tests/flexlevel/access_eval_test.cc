@@ -124,15 +124,6 @@ TEST(AccessEvalTest, FullPoolOnlyChurnsForMaximallyHotData) {
   EXPECT_TRUE(eval.is_reduced(2));
 }
 
-TEST(AccessEvalTest, InvalidateRemovesFromPool) {
-  AccessEval eval(small_config());
-  make_hot(eval, 7, 4);
-  ASSERT_TRUE(eval.is_reduced(7));
-  eval.on_invalidate(7);
-  EXPECT_FALSE(eval.is_reduced(7));
-  eval.on_invalidate(7);  // idempotent
-}
-
 TEST(AccessEvalTest, ShrinkCapacityEvictsLruTail) {
   AccessEval eval(small_config(4));
   make_hot(eval, 1, 4);

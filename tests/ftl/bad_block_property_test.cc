@@ -161,7 +161,9 @@ TEST_F(BadBlockPropertyTest, IdenticalRunsRetireIdentically) {
     const auto ia = ftl_.lookup(lpn);
     const auto ib = ftl_b.lookup(lpn);
     ASSERT_EQ(ia.has_value(), ib.has_value());
-    if (ia) EXPECT_EQ(ia->ppn, ib->ppn);
+    if (ia) {
+      EXPECT_EQ(ia->ppn, ib->ppn);
+    }
   }
 }
 
@@ -182,7 +184,9 @@ TEST_F(BadBlockPropertyTest, DisabledInjectorChangesNothing) {
     const auto ia = ftl_.lookup(lpn);
     const auto ib = plain.lookup(lpn);
     ASSERT_EQ(ia.has_value(), ib.has_value());
-    if (ia) EXPECT_EQ(ia->ppn, ib->ppn);
+    if (ia) {
+      EXPECT_EQ(ia->ppn, ib->ppn);
+    }
   }
 }
 

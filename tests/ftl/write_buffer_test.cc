@@ -38,19 +38,6 @@ TEST(WriteBufferTest, OverwriteRefreshesRecency) {
   EXPECT_EQ(flushed[0], 2u);  // 1 was refreshed; 2 is now the oldest
 }
 
-TEST(WriteBufferTest, DrainReturnsEverythingOldestFirst) {
-  WriteBuffer buf(8, 2);
-  buf.write(10);
-  buf.write(20);
-  buf.write(30);
-  const auto drained = buf.drain();
-  ASSERT_EQ(drained.size(), 3u);
-  EXPECT_EQ(drained[0], 10u);
-  EXPECT_EQ(drained[2], 30u);
-  EXPECT_EQ(buf.size(), 0u);
-  EXPECT_FALSE(buf.contains(10));
-}
-
 TEST(WriteBufferTest, SizeNeverExceedsCapacity) {
   WriteBuffer buf(16, 4);
   for (std::uint64_t i = 0; i < 1000; ++i) {
@@ -120,16 +107,6 @@ TEST(WriteBufferTest, PowerLossReportsDirtyLossAndEmptiesBuffer) {
   EXPECT_EQ(buf.dirty_pages(), 0u);
   EXPECT_FALSE(buf.contains(1));
   EXPECT_FALSE(buf.contains(3));
-}
-
-TEST(WriteBufferTest, DrainReturnsOnlyDirtyPages) {
-  WriteBuffer buf(8, 2);
-  buf.insert_clean(1);
-  buf.write(2);
-  const auto drained = buf.drain();
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0], 2u);
-  EXPECT_EQ(buf.size(), 0u);
 }
 
 TEST(WriteBufferDeathTest, FlushBatchBounded) {

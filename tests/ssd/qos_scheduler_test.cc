@@ -56,7 +56,8 @@ class QosSchedulerTest : public ::testing::Test {
 
 TEST_F(QosSchedulerTest, FifoDispatchesInArrivalOrderAcrossTenants) {
   ChipScheduler sched(1, events_);
-  sched.enable_qos({.policy = QosPolicy::kFifo}, &sink_);
+  sched.enable_qos({.policy = QosPolicy::kFifo, .tenant_weights = {}},
+                   &sink_);
   // Mixed tenants, priorities and classes, all queued at t=0: strict
   // submission order must survive.
   for (std::uint64_t i = 0; i < 10; ++i) {
@@ -73,7 +74,8 @@ TEST_F(QosSchedulerTest, FifoDispatchesInArrivalOrderAcrossTenants) {
 
 TEST_F(QosSchedulerTest, DeadlineKeepsFifoWithinTenantAndPriority) {
   ChipScheduler sched(1, events_);
-  sched.enable_qos({.policy = QosPolicy::kDeadline}, &sink_);
+  sched.enable_qos({.policy = QosPolicy::kDeadline, .tenant_weights = {}},
+                   &sink_);
   // One tenant, one priority, one class: every command carries the same
   // deadline offset, so EDF ties break by sequence — FIFO.
   for (std::uint64_t i = 0; i < 20; ++i) {
@@ -88,7 +90,8 @@ TEST_F(QosSchedulerTest, DeadlineKeepsFifoWithinTenantAndPriority) {
 
 TEST_F(QosSchedulerTest, DeadlineReadsOvertakeQueuedWrites) {
   ChipScheduler sched(1, events_);
-  sched.enable_qos({.policy = QosPolicy::kDeadline}, &sink_);
+  sched.enable_qos({.policy = QosPolicy::kDeadline, .tenant_weights = {}},
+                   &sink_);
   // Occupy the chip, then queue writes before reads. The read budget
   // (2 ms) undercuts the write budget (10 ms), so every queued read
   // dispatches ahead of every queued write despite arriving later.
@@ -108,7 +111,8 @@ TEST_F(QosSchedulerTest, DeadlineReadsOvertakeQueuedWrites) {
 
 TEST_F(QosSchedulerTest, HigherPriorityTightensTheDeadline) {
   ChipScheduler sched(1, events_);
-  sched.enable_qos({.policy = QosPolicy::kDeadline}, &sink_);
+  sched.enable_qos({.policy = QosPolicy::kDeadline, .tenant_weights = {}},
+                   &sink_);
   sched.submit_qos(0, 0, kRead100us, QosClass::kBackground, 0, 0,
                    ChipScheduler::kNoTag);  // occupy
   // Same class and arrival; priority 1 halves the budget, so it wins.
@@ -219,7 +223,8 @@ TEST_F(QosSchedulerTest, EveryCommandCompletesExactlyOnce) {
 
 TEST_F(QosSchedulerTest, PendingHighWaterTracksBacklog) {
   ChipScheduler sched(1, events_);
-  sched.enable_qos({.policy = QosPolicy::kFifo}, &sink_);
+  sched.enable_qos({.policy = QosPolicy::kFifo, .tenant_weights = {}},
+                   &sink_);
   for (std::uint64_t i = 0; i < 8; ++i) {
     sched.submit_qos(0, 0, kRead100us, QosClass::kRead, 0, 0, /*tag=*/i);
   }
@@ -237,7 +242,8 @@ TEST_F(QosSchedulerTest, LegacySubmitUnaffectedByQosMode) {
   EventQueue legacy_events;
   ChipScheduler legacy(2, legacy_events);
   ChipScheduler qos(2, events_);
-  qos.enable_qos({.policy = QosPolicy::kDeadline}, &sink_);
+  qos.enable_qos({.policy = QosPolicy::kDeadline, .tenant_weights = {}},
+                 &sink_);
   for (int i = 0; i < 10; ++i) {
     const auto chip = static_cast<std::size_t>(i % 2);
     const SimTime arrival = i * 40'000;
