@@ -2,11 +2,6 @@
 
 #include <array>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define FLEX_CRC64_CLMUL 1
-#include <immintrin.h>
-#endif
-
 namespace flex {
 namespace {
 
@@ -49,10 +44,12 @@ std::uint64_t crc64_bitwise(const void* data, std::size_t len,
   return ~crc;
 }
 
-/// Slice-by-8 on the raw (pre-inverted) register.
-std::uint64_t table_update(std::uint64_t crc, const unsigned char* p,
-                           std::size_t len) {
+}  // namespace
+
+std::uint64_t crc64(const void* data, std::size_t len, std::uint64_t crc) {
+  const auto* p = static_cast<const unsigned char*>(data);
   const auto& t = kTables.t;
+  crc = ~crc;
   while (len >= 8) {
     // Little-endian-independent load: fold each byte explicitly.
     crc ^= static_cast<std::uint64_t>(p[0]) |
@@ -73,134 +70,7 @@ std::uint64_t table_update(std::uint64_t crc, const unsigned char* p,
   while (len-- > 0) {
     crc = t[0][(crc ^ *p++) & 0xFF] ^ (crc >> 8);
   }
-  return crc;
-}
-
-#ifdef FLEX_CRC64_CLMUL
-
-/// x^n mod P in the reflected representation (bit i is the coefficient
-/// of x^(63-i)). Multiplying by x is one bitwise CRC step, so this is
-/// the polynomial's own definition, not a table of magic numbers.
-constexpr std::uint64_t xpow_mod(unsigned n) {
-  std::uint64_t r = std::uint64_t{1} << 63;  // x^0
-  for (unsigned i = 0; i < n; ++i) {
-    r = (r & 1) ? (r >> 1) ^ kPoly : r >> 1;
-  }
-  return r;
-}
-static_assert(xpow_mod(64) == kPoly);
-
-/// Fold constants for moving a 16-byte lane `bits` further along the
-/// message: its first (higher-degree) qword is multiplied by
-/// x^(bits+64) and its second by x^bits. A reflected carry-less product
-/// comes out multiplied by one extra x, hence the -1 in each exponent.
-struct FoldPair {
-  std::uint64_t first;
-  std::uint64_t second;
-};
-constexpr FoldPair fold_pair(unsigned bits) {
-  return {xpow_mod(bits + 64 - 1), xpow_mod(bits - 1)};
-}
-constexpr FoldPair kFold512 = fold_pair(512);  // x^575, x^511: 4-way loop
-constexpr FoldPair kFold384 = fold_pair(384);  // x^447, x^383
-constexpr FoldPair kFold256 = fold_pair(256);  // x^319, x^255
-constexpr FoldPair kFold128 = fold_pair(128);  // x^191, x^127
-
-/// Shortest input the folding kernel takes: its four lanes load the
-/// first 64 bytes. Shorter inputs stay on slice-by-8, untimed. At
-/// exactly 64 bytes (the default 8-word payload) a chained call takes
-/// 28 ns here against 65 ns for slice-by-8 (Xeon VM, GCC 12 -O3).
-constexpr std::size_t kClmulMinLen = 64;
-
-#define FLEX_CLMUL_TARGET __attribute__((target("pclmul,sse4.1")))
-
-FLEX_CLMUL_TARGET inline __m128i fold_constants(FoldPair k) {
-  return _mm_set_epi64x(static_cast<long long>(k.second),
-                        static_cast<long long>(k.first));
-}
-
-/// lane * x^bits + next (mod P, up to 128 bits), with `k` from fold_pair.
-FLEX_CLMUL_TARGET inline __m128i fold(__m128i lane, __m128i k,
-                                      __m128i next) {
-  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(lane, k, 0x00),
-                                     _mm_clmulepi64_si128(lane, k, 0x11)),
-                       next);
-}
-
-FLEX_CLMUL_TARGET inline __m128i load(const unsigned char* p) {
-  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-}
-
-/// Carry-less folding on the raw register; `len` >= kClmulMinLen. The
-/// register is XOR-ed into the first 8 message bytes, 64-byte blocks fold
-/// into four lanes, the lanes collapse to one, remaining 16-byte blocks
-/// fold into it, and the table path finishes the 16-byte remainder (with
-/// a zero register) followed by the tail.
-FLEX_CLMUL_TARGET std::uint64_t clmul_update(std::uint64_t crc,
-                                             const unsigned char* p,
-                                             std::size_t len) {
-  __m128i x0 = _mm_xor_si128(load(p),
-                             _mm_cvtsi64_si128(static_cast<long long>(crc)));
-  __m128i x1 = load(p + 16);
-  __m128i x2 = load(p + 32);
-  __m128i x3 = load(p + 48);
-  p += 64;
-  len -= 64;
-  const __m128i k512 = fold_constants(kFold512);
-  while (len >= 64) {
-    x0 = fold(x0, k512, load(p));
-    x1 = fold(x1, k512, load(p + 16));
-    x2 = fold(x2, k512, load(p + 32));
-    x3 = fold(x3, k512, load(p + 48));
-    p += 64;
-    len -= 64;
-  }
-  const __m128i k128 = fold_constants(kFold128);
-  __m128i x = fold(x0, fold_constants(kFold384),
-                   fold(x1, fold_constants(kFold256), fold(x2, k128, x3)));
-  while (len >= 16) {
-    x = fold(x, k128, load(p));
-    p += 16;
-    len -= 16;
-  }
-  alignas(16) unsigned char rest[16];
-  _mm_store_si128(reinterpret_cast<__m128i*>(rest), x);
-  return table_update(table_update(0, rest, sizeof(rest)), p, len);
-}
-
-#undef FLEX_CLMUL_TARGET
-
-bool detect_clmul() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
-}
-
-#endif  // FLEX_CRC64_CLMUL
-
-}  // namespace
-
-bool crc64_uses_clmul() {
-#ifdef FLEX_CRC64_CLMUL
-  static const bool use = detect_clmul();
-  return use;
-#else
-  return false;
-#endif
-}
-
-std::uint64_t crc64(const void* data, std::size_t len, std::uint64_t crc) {
-  const auto* p = static_cast<const unsigned char*>(data);
-#ifdef FLEX_CRC64_CLMUL
-  if (len >= kClmulMinLen && crc64_uses_clmul()) {
-    return ~clmul_update(~crc, p, len);
-  }
-#endif
-  return ~table_update(~crc, p, len);
-}
-
-std::uint64_t crc64_table(const void* data, std::size_t len,
-                          std::uint64_t crc) {
-  return ~table_update(~crc, static_cast<const unsigned char*>(data), len);
+  return ~crc;
 }
 
 bool crc64_selftest() {
@@ -220,17 +90,6 @@ bool crc64_selftest() {
     if (crc64(buf + cut, sizeof(buf) - cut, crc64(buf, cut)) != want) {
       return false;
     }
-  }
-  // Selected path vs table path on every length that crosses the
-  // kernel's thresholds: one and several 64-byte rounds, each 16-byte
-  // fold count and every tail length, from a non-trivial register.
-  unsigned char big[200];
-  for (std::size_t i = 0; i < sizeof(big); ++i) {
-    big[i] = static_cast<unsigned char>(i * 113 + 5);
-  }
-  for (std::size_t len = 0; len <= sizeof(big); ++len) {
-    const std::uint64_t seed = 0x0123456789ABCDEFULL * (len + 1);
-    if (crc64(big, len, seed) != crc64_table(big, len, seed)) return false;
   }
   return crc64(nullptr, 0) == 0;
 }

@@ -76,10 +76,9 @@ PageMappingFtl::PageMappingFtl(FtlConfig config)
                     BlockSummary{.erase_count = config_.initial_pe_cycles});
   if (config_.integrity) {
     // A drive that seals pages first checks its checksum, once per
-    // process: a miscompiled table or fold constant must seal nothing.
+    // process: a miscompiled table must seal nothing.
     static const bool crc_ok = crc64_selftest();
     FLEX_ASSERT(crc_ok);
-    seals_.assign(config_.spec.total_pages(), SealRecord{});
   }
 }
 
@@ -215,41 +214,37 @@ std::uint64_t PageMappingFtl::append(std::uint64_t lpn, PageMode mode,
     ++block.valid_count;
     LpnRecord& record = l2p_[lpn];
     record.ppn = static_cast<std::uint32_t>(ppn);
+    // The 61-bit epoch field must hold this program's ordinal.
+    FLEX_ASSERT(epoch_ < kMaxEpoch);
     // The OOB record lands in the same page program as the data — atomic
     // with it, which is what makes last-epoch-wins recovery sound.
-    const auto lpn32 = static_cast<std::uint32_t>(lpn);
-    const std::uint32_t version = record.version;
-    oob_[ppn] = OobRecord{.lpn = lpn32,
-                          .version = version,
-                          .epoch = ++epoch_,
-                          .reduced = block.mode == PageMode::kReduced,
-                          .write_time = now};
+    OobRecord& oob = oob_[ppn];
+    oob = OobRecord{.lpn = static_cast<std::uint32_t>(lpn),
+                    .version = record.version,
+                    .epoch = ++epoch_,
+                    .reduced = block.mode == PageMode::kReduced,
+                    .write_time = now};
     if (config_.integrity) {
-      // Seal the payload (claim == truth on a healthy program), then let
+      // Seal the payload (claim == payload on a healthy program), then let
       // the silent-data fault kinds break it. Identity: a page slot is
       // programmed once per erase generation, so (ppn, erase_count) is
       // unique — the same discipline as program_fails.
-      SealRecord seal{.seal_lpn = lpn32,
-                      .seal_version = version,
-                      .seal_crc = payload_.crc(lpn, version),
-                      .payload_lpn = lpn32,
-                      .payload_version = version};
+      oob.seal = kSealed;
       if (injector_ != nullptr &&
           injector_->misdirected_write(ppn, block.erase_count)) {
         // Data and seal went to some other page; this slot reports
         // success but stays unsealed garbage.
-        seal = SealRecord{};
+        oob.seal = kUnsealed;
         ++stats_.misdirected_writes;
         if (telemetry_) ++metrics_.misdirected_writes->value;
-      } else if (relocation && version > 0 && injector_ != nullptr &&
+      } else if (relocation && record.version > 0 && injector_ != nullptr &&
                  injector_->torn_relocation(ppn, block.erase_count)) {
         // Relocation DMA raced a host overwrite: the previous generation's
         // bytes land under the fresh seal.
-        seal.payload_version = version - 1;
+        oob.seal = kTorn;
         ++stats_.torn_relocations;
         if (telemetry_) ++metrics_.torn_relocations->value;
       }
-      seals_[ppn] = seal;
     }
     return ppn;
   }
@@ -379,15 +374,11 @@ void PageMappingFtl::reclaim_block(std::uint32_t block_id, SimTime now,
     mark_retired(block_id);
     return;
   }
-  // A successful erase wipes the block's OOB records with the data.
+  // A successful erase wipes the block's OOB records, seals included,
+  // with the data.
   const std::uint64_t base = make_ppn(block_id, 0);
   for (std::uint32_t p = 0; p < config_.spec.pages_per_block; ++p) {
     oob_[base + p] = OobRecord{};
-  }
-  if (config_.integrity) {
-    for (std::uint32_t p = 0; p < config_.spec.pages_per_block; ++p) {
-      seals_[base + p] = SealRecord{};
-    }
   }
   free_push(block_id);
 }
@@ -519,9 +510,9 @@ SealVerdict PageMappingFtl::verify_page(std::uint64_t lpn, std::uint64_t ppn,
                                         std::uint64_t block_reads) const {
   FLEX_EXPECTS(config_.integrity);
   FLEX_ASSERT(l2p_[lpn].ppn == ppn);
-  const SealRecord& seal = seals_[ppn];
+  const OobRecord& oob = oob_[ppn];
   SealVerdict verdict;
-  if (!seal.sealed()) {
+  if (!oob.sealed()) {
     // Expected a sealed page, found none (misdirected write): whatever
     // bytes are here, they are not ours and carry no matching seal.
     verdict.flagged = true;
@@ -530,28 +521,35 @@ SealVerdict PageMappingFtl::verify_page(std::uint64_t lpn, std::uint64_t ppn,
     return verdict;
   }
   const std::uint64_t expect_version = l2p_[lpn].version;
-  // The CRC of the bytes the medium holds: computed once from the stored
-  // payload's identity (the generator stands in for the page body).
-  const std::uint64_t stored_crc =
-      payload_.crc(seal.payload_lpn, seal.payload_version);
-  // The CRC of the bytes this read delivers: the stored CRC,
-  // XOR-perturbed when this read's transient post-ECC flip fires.
+  // This read's transient post-ECC flip XORs a nonzero delta into the
+  // CRC of the bytes the medium holds.
   const bool transient_flip =
       injector_ != nullptr && injector_->silent_corruption(ppn, block_reads);
-  const std::uint64_t actual_crc =
-      transient_flip ? stored_crc ^ (mix(ppn ^ (block_reads << 20)) | 1)
-                     : stored_crc;
-  // Cross-checks: delivered bytes vs the seal's CRC claim, and the
-  // seal's identity claim vs what the FTL/ledger expects of this read.
-  const bool crc_ok = actual_crc == seal.seal_crc;
-  const bool identity_ok =
-      seal.seal_lpn == lpn && seal.seal_version == expect_version;
+  // Cross-checks: delivered bytes vs the seal's CRC, and the seal's
+  // identity claim vs what the FTL/ledger expects of this read. Where
+  // claim and payload agree, the stored CRC is the seal CRC, so the
+  // delivered CRC matches iff no flip fired; only a torn page holds bytes
+  // of another generation, and only there are the two CRCs computed (a
+  // collision between them would pass the check, as it would on a drive).
+  bool crc_ok = !transient_flip;
+  bool stored_ok = true;
+  if (oob.seal == kTorn) {
+    const std::uint64_t seal_crc = payload_.crc(oob.lpn, oob.version);
+    const std::uint64_t stored_crc =
+        payload_.crc(oob.lpn, oob.payload_version());
+    const std::uint64_t actual_crc =
+        transient_flip ? stored_crc ^ (mix(ppn ^ (block_reads << 20)) | 1)
+                       : stored_crc;
+    crc_ok = actual_crc == seal_crc;
+    stored_ok = stored_crc == seal_crc;
+  }
+  const bool identity_ok = oob.lpn == lpn && oob.version == expect_version;
   verdict.flagged = !crc_ok || !identity_ok;
-  verdict.delivered_bad = transient_flip || seal.payload_lpn != lpn ||
-                          seal.payload_version != expect_version;
+  verdict.delivered_bad = transient_flip || oob.lpn != lpn ||
+                          oob.payload_version() != expect_version;
   // Persistent iff the medium itself is wrong: re-delivering the same
   // cells without the transient flip would still fail the cross-check.
-  verdict.persistent = !identity_ok || stored_crc != seal.seal_crc;
+  verdict.persistent = !identity_ok || !stored_ok;
   return verdict;
 }
 
@@ -559,13 +557,14 @@ DataAudit PageMappingFtl::audit_data(std::uint64_t lpn,
                                      std::uint64_t version) const {
   FLEX_EXPECTS(config_.integrity);
   FLEX_EXPECTS(lpn < logical_pages_ && l2p_[lpn].ppn != kNoPpn);
-  const SealRecord& seal = seals_[l2p_[lpn].ppn];
+  const OobRecord& oob = oob_[l2p_[lpn].ppn];
   DataAudit audit;
-  audit.seal_ok =
-      seal.sealed() && seal.seal_lpn == lpn && seal.seal_version == version &&
-      seal.seal_crc == payload_.crc(seal.payload_lpn, seal.payload_version);
-  audit.payload_ok = seal.sealed() && seal.payload_lpn == lpn &&
-                     seal.payload_version == version;
+  audit.seal_ok = oob.sealed() && oob.lpn == lpn && oob.version == version &&
+                  (oob.seal != kTorn ||
+                   payload_.crc(oob.lpn, oob.version) ==
+                       payload_.crc(oob.lpn, oob.payload_version()));
+  audit.payload_ok =
+      oob.sealed() && oob.lpn == lpn && oob.payload_version() == version;
   return audit;
 }
 

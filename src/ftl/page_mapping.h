@@ -40,10 +40,10 @@ struct FtlConfig {
   /// closed block is reclaimed instead of the greedy choice, so blocks
   /// pinned by cold data still circulate. 0 disables.
   std::uint32_t static_wl_interval = 64;
-  /// End-to-end integrity: carry a per-page payload identity + CRC64 seal
-  /// alongside the OOB record of every program (derived by the simulator
-  /// from SsdConfig::integrity — set there, not here). Off keeps the seal
-  /// medium empty and every write path byte-identical.
+  /// End-to-end integrity: seal every program's payload with a CRC64,
+  /// kept as a seal state in its OOB record (derived by the simulator
+  /// from SsdConfig::integrity — set there, not here). Off leaves every
+  /// page unsealed and every write path byte-identical.
   bool integrity = false;
   /// PayloadModel seed (the simulator passes its run seed).
   std::uint64_t integrity_seed = 0;
@@ -334,6 +334,9 @@ class PageMappingFtl {
   std::uint32_t reduced_blocks() const;
 
  private:
+  /// Test access to the OOB records (tests/ftl/seal_verdict_test.cc).
+  friend class PageMappingFtlPeer;
+
   // Per-page state is the ppn-indexed OOB record (oob_) plus one valid bit
   // per ppn (valid_): a page holds `lpn`'s live copy iff its bit is set and
   // oob_[ppn].lpn == lpn. Flat arrays, so the hot paths touch one OOB line
@@ -352,48 +355,47 @@ class PageMappingFtl {
   /// (real NAND writes data + OOB in one page program). Survives power
   /// loss; only a successful erase clears it. Everything Mount() needs to
   /// rebuild the L2P map is here, packed into 24 bytes per page: the lpn
-  /// and version fit 32 bits (the constructor and write() check), and
-  /// the storage mode rides the epoch word's top bit.
+  /// and version fit 32 bits (the constructor and write() check), the
+  /// program ordinal 61 (append() checks), and the storage mode and the
+  /// integrity seal state ride the epoch word's top three bits.
+  ///
+  /// The seal (integrity on) is the CRC64 the controller computed for the
+  /// data it meant to write. Its *claim* is the record's own (lpn,
+  /// version); the *payload* is the identity of the bytes the page really
+  /// holds (the generator regenerates any page from its identity, so the
+  /// identity stands in for the page body). A healthy program has claim ==
+  /// payload, so its seal CRC equals the stored bytes' CRC by construction
+  /// and neither is ever computed. The silent-data fault kinds break
+  /// exactly that: a misdirected write leaves the slot unsealed (data and
+  /// seal landed on some other page while success was reported here), and
+  /// a torn relocation stores the *previous* generation's bytes under the
+  /// fresh seal. Both touch only the seal state, never the mapping
+  /// fields — controller metadata travels a separate journaled path, so
+  /// mapping-integrity invariants stay intact while the data rots.
+  enum SealState : std::uint8_t { kUnsealed = 0, kSealed = 1, kTorn = 2 };
   struct OobRecord {
     std::uint32_t lpn = kNoLpn;
     std::uint32_t version = 0;  ///< host-write generation of the lpn
     /// Global program ordinal, 1-based, so 0 means never programmed.
-    std::uint64_t epoch : 63 = 0;
+    std::uint64_t epoch : 61 = 0;
     std::uint64_t reduced : 1 = 0;  ///< stored in reduced state
+    std::uint64_t seal : 2 = kUnsealed;  ///< a SealState
     SimTime write_time = 0;
 
     bool programmed() const { return epoch != 0; }
     PageMode mode() const {
       return reduced ? PageMode::kReduced : PageMode::kNormal;
     }
+    /// A seal landed here at all (torn pages are sealed too).
+    bool sealed() const { return seal != kUnsealed; }
+    /// The generation of the bytes the page holds (sealed pages only).
+    std::uint32_t payload_version() const {
+      return seal == kTorn ? version - 1 : version;
+    }
   };
   static_assert(sizeof(OobRecord) == 24);
-
-  /// The durable per-page integrity record (integrity on), written in the
-  /// same page program as the data and OOB record. The *claim* fields are
-  /// the seal the controller computed for the data it intended to write;
-  /// the *payload* fields are the identity of the bytes the page actually
-  /// holds (the generator regenerates any page from its identity, so this
-  /// pair stands in for the full page body). A healthy program has
-  /// claim == payload; the silent-data fault kinds break exactly that:
-  /// a misdirected write leaves the slot unsealed (data and seal landed
-  /// on some other page while success was reported here), and a torn
-  /// relocation stores the *previous* generation's bytes under the fresh
-  /// seal. The per-page OOB mapping record is deliberately untouched by
-  /// both — controller metadata updates travel a separate journaled path,
-  /// so mapping-integrity invariants stay intact while the data rots.
-  /// 32-bit lpns and versions, like OobRecord: 24 bytes per page.
-  struct SealRecord {
-    std::uint32_t seal_lpn = kNoLpn;     ///< claim: logical page
-    std::uint32_t seal_version = 0;      ///< claim: write generation
-    std::uint64_t seal_crc = 0;          ///< claim: CRC64 of that payload
-    std::uint32_t payload_lpn = kNoLpn;  ///< truth: stored payload's lpn
-    std::uint32_t payload_version = 0;   ///< truth: stored generation
-
-    /// A seal landed here at all: every seal claims a real lpn.
-    bool sealed() const { return seal_lpn != kNoLpn; }
-  };
-  static_assert(sizeof(SealRecord) == 24);
+  /// Largest program ordinal the 61-bit epoch field holds.
+  static constexpr std::uint64_t kMaxEpoch = (std::uint64_t{1} << 61) - 1;
 
   /// The durable per-block summary page, rewritten on erase / retirement
   /// (controllers keep erase counts and the bad-block table on the medium;
@@ -522,10 +524,6 @@ class PageMappingFtl {
   // Power loss must not touch these; everything else above is volatile.
   std::vector<OobRecord> oob_;          // by ppn
   std::vector<BlockSummary> summaries_;  // by block id
-  /// Per-page seal medium (by ppn; empty unless config_.integrity).
-  /// Durable like oob_: programmed with the page, wiped by erase,
-  /// untouched by Mount().
-  std::vector<SealRecord> seals_;
   /// The synthetic-payload generator behind the seals (fixed identity ->
   /// bytes function; see ftl/payload.h).
   PayloadModel payload_;

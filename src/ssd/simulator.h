@@ -143,10 +143,10 @@ struct QosConfig {
 
 /// End-to-end data integrity. Off by default — the FTL then moves pure
 /// metadata and every seed figure is reproduced bit-identically. On,
-/// every page program carries a deterministic synthetic payload identity
-/// and a CRC64 seal {lpn, version, crc} (ftl/page_mapping SealRecord),
-/// and every NAND read-back recomputes the delivered bytes' CRC and
-/// cross-checks it against the seal and the durable-version ledger —
+/// every page program seals a deterministic synthetic payload with a
+/// CRC64, kept as a seal state in the page's OOB record (ftl/page_mapping
+/// OobRecord), and every NAND read-back checks the delivered bytes' CRC
+/// against the seal and the seal's claim against the FTL's generation —
 /// raising an integrity mismatch (distinct from uncorrectable) that the
 /// RecoveryPolicy answers with a deepest-sensing re-read and, at the
 /// array layer, replica failover + read-repair. The silent-corruption

@@ -1,9 +1,8 @@
 // CRC-64/XZ: the payload-seal checksum. The standard check vector pins
 // the polynomial/reflection/xor conventions; the chaining property and
-// the agreement of the run-time-selected path, the slice-by-8 table
-// path and a bitwise oracle pin the implementation's internal
-// consistency (the payload CRC in ftl/payload.cpp chains one call per
-// 512-byte chunk, and every seal must not depend on the CPU).
+// the agreement of the slice-by-8 table path with a bitwise oracle pin
+// the implementation's internal consistency (the payload CRC in
+// ftl/payload.cpp chains one call per 512-byte chunk).
 #include "common/crc64.h"
 
 #include <algorithm>
@@ -82,12 +81,10 @@ TEST(Crc64Test, DistinctInputsDistinctCrcs) {
 
 TEST(Crc64Test, SelfTestPasses) { EXPECT_TRUE(crc64_selftest()); }
 
-// Every length 0..300 (one, several and partial 64-byte rounds, every
-// 16-byte fold count and tail), random bytes and random initial values,
-// at a misaligned start: `crc64`, `crc64_table` and the bitwise oracle
-// must agree. The `clmul` property records which path `crc64` took.
-TEST(Crc64Test, SelectedTableAndBitwisePathsAgree) {
-  RecordProperty("clmul", crc64_uses_clmul() ? "1" : "0");
+// Every length 0..300 (every slice-by-8 round count and tail), random
+// bytes and random initial values, at a misaligned start: the table
+// path and the bitwise oracle must agree.
+TEST(Crc64Test, TableAndBitwisePathsAgree) {
   std::mt19937_64 rng(0xC0FFEE);
   std::vector<std::uint8_t> data(301 + 3);
   for (auto& b : data) b = static_cast<std::uint8_t>(rng());
@@ -95,32 +92,15 @@ TEST(Crc64Test, SelectedTableAndBitwisePathsAgree) {
   for (std::size_t len = 0; len <= 300; ++len) {
     for (const std::uint64_t init : {std::uint64_t{0}, ~std::uint64_t{0},
                                      std::uint64_t{rng()}}) {
-      const std::uint64_t want = bitwise_crc64(p, len, init);
-      ASSERT_EQ(crc64_table(p, len, init), want)
-          << "table path, len " << len << " init " << init;
-      ASSERT_EQ(crc64(p, len, init), want)
-          << "selected path, len " << len << " init " << init;
+      ASSERT_EQ(crc64(p, len, init), bitwise_crc64(p, len, init))
+          << "len " << len << " init " << init;
     }
   }
 }
 
-TEST(Crc64Test, PclmulCpuDispatchesToTheKernel) {
-  // A detection that wrongly falls back would leave the folding kernel
-  // untested and unused while every check above still passed.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  __builtin_cpu_init();
-  if (!__builtin_cpu_supports("pclmul") || !__builtin_cpu_supports("sse4.1")) {
-    GTEST_SKIP() << "CPU lacks pclmul: crc64 runs the table path only";
-  }
-  EXPECT_TRUE(crc64_uses_clmul());
-#else
-  GTEST_SKIP() << "no carry-less kernel on this architecture";
-#endif
-}
-
 TEST(Crc64Test, ChainedCallsEqualOneCall) {
-  // Split a 300-byte message at every pair of cut points that puts the
-  // pieces on either side of the kernel's 64-byte threshold.
+  // Split a 300-byte message at every pair of cut points, so pieces
+  // start and end at every offset within a slice-by-8 round.
   std::mt19937_64 rng(42);
   std::vector<std::uint8_t> data(300);
   for (auto& b : data) b = static_cast<std::uint8_t>(rng());

@@ -32,8 +32,6 @@ TEST(PayloadModelTest, CrcEqualsCrcOfGeneratedBytes) {
                     crc64(bytes.data(), bytes.size()))
               << "seed " << seed << " words " << words << " lpn " << lpn
               << " version " << version;
-          EXPECT_EQ(model.crc(lpn, version),
-                    crc64_table(bytes.data(), bytes.size()));
         }
       }
     }
